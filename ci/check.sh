@@ -88,7 +88,7 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     > /dev/null)
   for key in '"answers"' '"mean_ns"' '"grouped_count"' \
              '"derived_avg_having"' '"derived_variance"' \
-             '"suppression_pass"' '"scalar_count"' \
+             '"suppression_pass"' '"scalar_count"' '"not_exists_multidim"' \
              '"wal_overhead"' '"publish_wal_off_ms"' '"publish_wal_on_ms"' \
              '"wal_overhead_pct"'; do
     grep -q "${key}" BENCH_answer.json ||
@@ -124,12 +124,13 @@ cmake --build build-asan -j "$(nproc)" --target \
   limits_test adversarial_test synopsis_overflow_test hostile_bundle_test \
   admission_test corpus_replay_test \
   aggregate_planner_test suppression_test grouped_serve_test \
+  cell_eval_test synopsis_test grouped_test cell_program_test \
   fuzz_sql_parser fuzz_rewriter fuzz_vrsy_loader fuzz_budget_wal \
   make_seed_corpus
 
 echo "== asan+ubsan: ctest (robustness suite) =="
 (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-  -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority')
+  -R 'FaultInjection|Quarantine|PublishRecovery|Budget|BudgetWal|KillNine|LaplaceMechanism|Retry|Backoff|CircuitBreaker|Durability|Republisher|Limits|Tracker|CheckedMul|Adversarial|SynopsisOverflow|HostileBundle|Admission|CorpusReplay|Coalescing|BatchSubmit|StatsShard|PlanAggregate|EvaluateDerived|EvalExpr|Suppression|GroupedServe|AdaptiveLimiter|Overload|Priority|CellEval|SynopsisTest|GroupedTest|CellProgram')
 
 if [[ "${SKIP_CHAOS:-0}" != "1" ]]; then
   echo "== asan+ubsan: republish chaos smoke (single seed, lifecycle races) =="

@@ -31,6 +31,8 @@ Result<Value> EvalCellExpr(const Expr& e, const CellContext& ctx) {
       return static_cast<const LiteralExpr&>(e).value;
     case ExprKind::kColumnRef: {
       const auto& c = static_cast<const ColumnRefExpr&>(e);
+      auto slot = ctx.ref_dims.find(&c);
+      if (slot != ctx.ref_dims.end()) return *ctx.dim_values[slot->second];
       auto it = ctx.attr_values.find(c.FullName());
       if (it != ctx.attr_values.end()) return it->second;
       // Qualified miss: try the bare column (merged-view remaps can leave

@@ -3,6 +3,8 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "sql/ast.h"
@@ -13,11 +15,20 @@ namespace viewrewrite {
 /// Per-cell predicate evaluation context: each view attribute's
 /// representative value (categorical value, bucket midpoint, or NULL for
 /// the padding cell) plus scalar parameter bindings from chained queries.
+///
+/// Column refs resolve one of two ways. By name through `attr_values`:
+/// the brute-force oracle and the tests build one such context per cell.
+/// By dimension slot: the synopsis answer kernel resolves every ref of a
+/// WHERE to its dimension once (`ref_dims`) and then only repoints
+/// `dim_values` while it evaluates a conjunct over its own dimensions.
 struct CellContext {
   /// Keyed by qualified name ("t.col") with an unqualified fallback entry
   /// ("col") when unambiguous.
   std::map<std::string, Value> attr_values;
   std::map<std::string, Value> params;
+  /// Ref -> dimension index; a ref found here reads dim_values[index].
+  std::unordered_map<const ColumnRefExpr*, size_t> ref_dims;
+  std::vector<const Value*> dim_values;
 };
 
 /// Evaluates a rewritten (subquery-free) predicate over a cell. Returns

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
-#include <set>
+#include <numeric>
 #include <unordered_map>
 
 #include "aggregate/aggregate_planner.h"
@@ -13,6 +12,7 @@
 #include "rewrite/analysis.h"
 #include "sql/printer.h"
 #include "view/cell_eval.h"
+#include "view/view_matcher.h"
 
 namespace viewrewrite {
 
@@ -200,6 +200,7 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
     }
   }
   s.total_cells_ = static_cast<size_t>(total);
+  s.BuildRepresentatives();
 
   // ---- Materialization statement. -----------------------------------------
   auto mat = std::make_unique<SelectStmt>();
@@ -276,15 +277,17 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
       n_sums, std::vector<double>(s.total_cells_, 0.0));
 
   std::unordered_map<Value, int64_t, ValueHash> kept;
-  std::vector<int64_t> cell(n_attrs, 0);
   size_t kept_rows = 0;
   for (const Row& row : rs.rows) {
     int64_t& used = kept[row[key_col]];
     if (used >= tau) continue;
     ++used;
     ++kept_rows;
-    for (size_t i = 0; i < n_attrs; ++i) cell[i] = s.CellOf(i, row[i]);
-    size_t flat = s.FlatIndex(cell);
+    size_t flat = 0;  // mixed radix over the dimension sizes
+    for (size_t i = 0; i < n_attrs; ++i) {
+      flat = flat * static_cast<size_t>(s.dim_sizes_[i]) +
+             static_cast<size_t>(s.CellOf(i, row[i]));
+    }
     count_cells[flat] += 1.0;
     for (size_t m = 0; m < n_sums; ++m) {
       const Value& v = row[n_attrs + m];
@@ -332,17 +335,24 @@ Result<Synopsis> Synopsis::Build(const ViewDef& view, const Database& db,
   return s;
 }
 
-Value Synopsis::Representative(size_t dim, int64_t idx) const {
-  const ColumnDomain& d = view_->attributes()[dim].domain;
-  if (idx >= d.CellCount()) return Value::Null();
-  if (d.kind == ColumnDomain::Kind::kCategorical) {
-    return d.categories[static_cast<size_t>(idx)];
+void Synopsis::BuildRepresentatives() {
+  reps_.assign(dim_sizes_.size(), {});
+  for (size_t d = 0; d < dim_sizes_.size(); ++d) {
+    const ColumnDomain& dom = view_->attributes()[d].domain;
+    reps_[d].reserve(static_cast<size_t>(dim_sizes_[d]));
+    for (int64_t idx = 0; idx < dim_sizes_[d]; ++idx) {
+      if (idx >= dom.CellCount()) {
+        reps_[d].push_back(Value::Null());
+      } else if (dom.kind == ColumnDomain::Kind::kCategorical) {
+        reps_[d].push_back(dom.categories[static_cast<size_t>(idx)]);
+      } else {
+        auto [lo, hi] = dom.BucketBounds(idx);
+        // Continuous convention: the bucket covers [lo, hi + 1).
+        reps_[d].push_back(Value::Double(
+            (static_cast<double>(lo) + static_cast<double>(hi) + 1.0) / 2.0));
+      }
+    }
   }
-  auto [lo, hi] = d.BucketBounds(idx);
-  // Continuous convention: the bucket covers [lo, hi + 1).
-  return Value::Double((static_cast<double>(lo) + static_cast<double>(hi) +
-                        1.0) /
-                       2.0);
 }
 
 int64_t Synopsis::CellOf(size_t dim, const Value& v) const {
@@ -351,15 +361,6 @@ int64_t Synopsis::CellOf(size_t dim, const Value& v) const {
   int64_t idx = d.CellIndex(v);
   if (idx < 0) return d.CellCount();  // unseen category -> "other" cell
   return idx;
-}
-
-size_t Synopsis::FlatIndex(const std::vector<int64_t>& cell) const {
-  size_t flat = 0;
-  for (size_t i = 0; i < cell.size(); ++i) {
-    flat = flat * static_cast<size_t>(dim_sizes_[i]) +
-           static_cast<size_t>(cell[i]);
-  }
-  return flat;
 }
 
 const std::vector<double>& Synopsis::ExactCells(
@@ -434,248 +435,291 @@ Result<Synopsis> Synopsis::FromParts(const ViewDef* view,
   s.count_noise_scale_ = parts.count_noise_scale;
   s.stats_ = parts.stats;
   s.hier_count_ = std::move(parts.hier_count);
+  s.BuildRepresentatives();
   return s;
 }
 
+/// A WHERE compiled against the grid: which cells it admits, without
+/// evaluating it per cell.
+struct Synopsis::CellMask {
+  /// False when a constant conjunct is not TRUE: no cell qualifies.
+  bool any = true;
+  /// Per dimension, 1 at each cell index that every single-dimension
+  /// conjunct on that dimension admits.
+  std::vector<std::vector<char>> dims;
+  /// A multi-dimension conjunct, evaluated over the sub-grid of its own
+  /// dimensions (row-major, `strides` per dimension).
+  struct Factor {
+    std::vector<size_t> dims;  // ascending
+    std::vector<size_t> strides;
+    std::vector<char> verdict;
+    std::unordered_map<size_t, Status> errors;  // per kError point
+  };
+  std::vector<Factor> factors;  // in conjunct order
+};
+
 namespace {
 
-/// Dimension references of a conjunct: resolves each column ref against
-/// the view attributes. Returns false if some ref is not an attribute.
-bool ConjunctDims(const Expr& e, const ViewDef& view, std::set<int>* dims) {
-  std::vector<const ColumnRefExpr*> refs;
-  CollectColumnRefsShallow(&e, &refs);
-  for (const ColumnRefExpr* r : refs) {
-    int d = view.AttributeIndex(r->table, r->column);
-    if (d < 0) return false;
-    dims->insert(d);
+// One verdict per sub-grid point of a multi-dimension conjunct.
+constexpr char kFail = 0;
+constexpr char kPass = 1;
+constexpr char kError = 2;
+
+/// Cell indices a dimension mask admits; with `pin` >= 0 only that index
+/// (none when the pin is past the mask).
+std::vector<int64_t> Admitted(const std::vector<char>& mask, int64_t pin) {
+  std::vector<int64_t> out;
+  if (pin >= 0) {
+    if (pin < static_cast<int64_t>(mask.size()) && mask[pin]) {
+      out.push_back(pin);
+    }
+    return out;
   }
-  return true;
+  for (size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i]) out.push_back(static_cast<int64_t>(i));
+  }
+  return out;
+}
+
+/// Calls visit(cell) for every combination of one index from each list,
+/// in lexicographic order (first list outermost); stops at the first
+/// error. Visits once for no lists, never when a list is empty.
+template <typename Visit>
+Status ForEachCell(const std::vector<std::vector<int64_t>>& lists,
+                   Visit&& visit) {
+  std::vector<int64_t> cell;
+  for (const auto& list : lists) {
+    if (list.empty()) return Status::OK();
+    cell.push_back(list[0]);
+  }
+  std::vector<size_t> pos(lists.size(), 0);
+  for (;;) {
+    VR_RETURN_NOT_OK(visit(cell));
+    size_t d = lists.size();
+    while (d > 0 && ++pos[d - 1] == lists[d - 1].size()) {
+      pos[d - 1] = 0;
+      cell[d - 1] = lists[d - 1][0];
+      --d;
+    }
+    if (d == 0) return Status::OK();
+    cell[d - 1] = lists[d - 1][pos[d - 1]];
+  }
 }
 
 }  // namespace
 
-Result<std::optional<double>> Synopsis::TryHierarchicalCount(
-    const Expr* where, const ParamMap& params) const {
-  if (!hier_count_.has_value() || view_->attributes().size() != 1) {
-    return std::optional<double>();
-  }
-  const ViewAttribute& attr = view_->attributes()[0];
-  // Evaluate every conjunct per cell of the single dimension; the tree
-  // helps only when the admitted cells form one contiguous value range
-  // that excludes the NULL padding cell.
-  std::vector<const Expr*> conjuncts = CollectConjuncts(where);
-  const int64_t cells = attr.domain.CellCount();
-  int64_t lo = -1, hi = -1;
-  bool contiguous = true;
-  for (int64_t idx = 0; idx <= cells; ++idx) {
-    CellContext ctx;
-    for (const auto& [k, v] : params) ctx.params[k] = v;
-    Value rep = Representative(0, idx);
-    ctx.attr_values[attr.QualifiedName()] = rep;
-    ctx.attr_values[attr.column] = rep;
-    bool pass = true;
-    for (const Expr* c : conjuncts) {
-      std::set<int> dims;
-      if (!ConjunctDims(*c, *view_, &dims)) {
-        return std::optional<double>();  // non-view attribute: bail out
-      }
-      VR_ASSIGN_OR_RETURN(bool p, EvalCellPredicate(*c, ctx));
-      if (!p) {
-        pass = false;
-        break;
-      }
-    }
-    if (idx == cells) {
-      if (pass) return std::optional<double>();  // NULL cell needed
-      break;
-    }
-    if (pass) {
-      if (lo < 0) {
-        lo = hi = idx;
-      } else if (idx == hi + 1) {
-        hi = idx;
-      } else {
-        contiguous = false;
-      }
-    }
-  }
-  if (!contiguous || lo < 0) return std::optional<double>();
-  VR_ASSIGN_OR_RETURN(double sum, hier_count_->RangeSum(lo, hi));
-  return std::optional<double>(sum);
-}
-
-Result<double> Synopsis::SumMatchingCells(const std::vector<double>& array,
-                                          const Expr* where,
-                                          const ParamMap& params) const {
-  const size_t n = view_->attributes().size();
-
-  // Classify conjuncts: per-dimension filters get precomputed masks; the
-  // rest are evaluated per surviving cell.
-  std::vector<const Expr*> conjuncts = CollectConjuncts(where);
-  std::vector<std::vector<const Expr*>> dim_conjuncts(n);
-  std::vector<const Expr*> general;
-  for (const Expr* c : conjuncts) {
-    std::set<int> dims;
-    if (!ConjunctDims(*c, *view_, &dims)) {
-      return Status::ExecutionError(
-          "query filter references a non-view attribute: " + ToSql(*c));
-    }
-    if (dims.size() == 1) {
-      dim_conjuncts[static_cast<size_t>(*dims.begin())].push_back(c);
-    } else if (dims.empty()) {
-      general.push_back(c);  // constant / param-only predicate
-    } else {
-      general.push_back(c);
-    }
-  }
-
+Status Synopsis::CompileWhere(const Expr* where, const ParamMap& params,
+                              CellMask* mask) const {
+  const size_t n = dim_sizes_.size();
   CellContext ctx;
-  ctx.params.clear();
-  for (const auto& [k, v] : params) ctx.params[k] = v;
+  ctx.params = params;
+  ctx.dim_values.assign(n, nullptr);
+
+  // Resolve every column ref to its dimension once and classify each
+  // conjunct by the dimensions it reads.
+  std::vector<const Expr*> constant;
+  std::vector<std::vector<const Expr*>> single(n);
+  std::vector<std::pair<const Expr*, std::vector<size_t>>> multi;
+  for (const Expr* c : CollectConjuncts(where)) {
+    std::vector<const ColumnRefExpr*> refs;
+    CollectColumnRefsShallow(c, &refs);
+    std::vector<size_t> dims;
+    for (const ColumnRefExpr* r : refs) {
+      const int d = view_->AttributeIndex(r->table, r->column);
+      if (d < 0) {
+        return Status::ExecutionError(
+            "query filter references a non-view attribute: " + ToSql(*c));
+      }
+      ctx.ref_dims[r] = static_cast<size_t>(d);
+      dims.push_back(static_cast<size_t>(d));
+    }
+    std::sort(dims.begin(), dims.end());
+    dims.erase(std::unique(dims.begin(), dims.end()), dims.end());
+    if (dims.empty()) {
+      constant.push_back(c);
+    } else if (dims.size() == 1) {
+      single[dims[0]].push_back(c);
+    } else {
+      multi.emplace_back(c, std::move(dims));
+    }
+  }
 
   // Constant predicates can zero the whole query (e.g. `$v >= 1`).
-  for (auto it = general.begin(); it != general.end();) {
-    std::set<int> dims;
-    ConjunctDims(**it, *view_, &dims);
-    if (dims.empty()) {
-      VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(**it, ctx));
-      if (!pass) return 0.0;
-      it = general.erase(it);
-    } else {
-      ++it;
+  for (const Expr* c : constant) {
+    VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, ctx));
+    if (!pass) {
+      mask->any = false;
+      return Status::OK();
     }
   }
 
-  // Per-dimension allowed masks.
-  std::vector<std::vector<char>> allowed(n);
+  // Single-dimension conjuncts: one mask per dimension over its values.
+  mask->dims.resize(n);
   for (size_t d = 0; d < n; ++d) {
-    allowed[d].assign(static_cast<size_t>(dim_sizes_[d]), 1);
-    if (dim_conjuncts[d].empty()) continue;
-    const ViewAttribute& attr = view_->attributes()[d];
-    for (int64_t idx = 0; idx < dim_sizes_[d]; ++idx) {
-      CellContext dctx;
-      dctx.params = ctx.params;
-      Value rep = Representative(d, idx);
-      dctx.attr_values[attr.QualifiedName()] = rep;
-      dctx.attr_values[attr.column] = rep;
-      bool ok = true;
-      for (const Expr* c : dim_conjuncts[d]) {
-        VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, dctx));
+    mask->dims[d].assign(static_cast<size_t>(dim_sizes_[d]), 1);
+    if (single[d].empty()) continue;
+    for (size_t idx = 0; idx < mask->dims[d].size(); ++idx) {
+      ctx.dim_values[d] = &reps_[d][idx];
+      for (const Expr* c : single[d]) {
+        VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, ctx));
         if (!pass) {
-          ok = false;
+          mask->dims[d][idx] = 0;
           break;
         }
       }
-      allowed[d][static_cast<size_t>(idx)] = ok ? 1 : 0;
     }
   }
 
-  // Enumerate allowed cells. Representatives are precomputed and the
-  // cell context is built once with stable map slots, so the per-cell
-  // work is pointer assignments — this loop dominates query answering.
-  std::vector<std::vector<Value>> reps(n);
-  for (size_t d = 0; d < n; ++d) {
-    reps[d].reserve(static_cast<size_t>(dim_sizes_[d]));
-    for (int64_t idx = 0; idx < dim_sizes_[d]; ++idx) {
-      reps[d].push_back(Representative(d, idx));
+  // Multi-dimension conjuncts: each over the sub-grid of its own
+  // dimensions, at the points the dimension masks admit. An evaluation
+  // error is kept, not raised: SumCells raises it only on reaching the
+  // point with every earlier conjunct passing, as a per-cell evaluation
+  // of the conjuncts in order would.
+  for (const auto& [c, dims] : multi) {
+    CellMask::Factor f;
+    f.dims = dims;
+    f.strides.resize(dims.size());
+    size_t points = 1;
+    for (size_t k = dims.size(); k-- > 0;) {
+      f.strides[k] = points;
+      points *= static_cast<size_t>(dim_sizes_[dims[k]]);
     }
-  }
-  CellContext full;
-  full.params = ctx.params;
-  std::vector<std::pair<Value*, Value*>> slots(n);
-  if (!general.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      const ViewAttribute& attr = view_->attributes()[i];
-      Value* qualified = &full.attr_values[attr.QualifiedName()];
-      Value* bare = &full.attr_values[attr.column];
-      slots[i] = {qualified, bare};
-    }
-  }
-
-  double total = 0;
-  std::vector<int64_t> cell(n, 0);
-  std::function<Status(size_t)> recurse = [&](size_t d) -> Status {
-    if (d == n) {
-      if (!general.empty()) {
-        for (const Expr* c : general) {
-          VR_ASSIGN_OR_RETURN(bool pass, EvalCellPredicate(*c, full));
-          if (!pass) return Status::OK();
-        }
+    f.verdict.assign(points, kFail);
+    std::vector<std::vector<int64_t>> lists;
+    for (size_t d : dims) lists.push_back(Admitted(mask->dims[d], -1));
+    VR_RETURN_NOT_OK(ForEachCell(lists, [&](const std::vector<int64_t>& at) {
+      size_t point = 0;
+      for (size_t k = 0; k < dims.size(); ++k) {
+        ctx.dim_values[dims[k]] = &reps_[dims[k]][static_cast<size_t>(at[k])];
+        point += static_cast<size_t>(at[k]) * f.strides[k];
       }
-      total += array[FlatIndex(cell)];
+      Result<bool> pass = EvalCellPredicate(*c, ctx);
+      if (!pass.ok()) {
+        f.verdict[point] = kError;
+        f.errors.emplace(point, pass.status());
+      } else if (*pass) {
+        f.verdict[point] = kPass;
+      }
       return Status::OK();
-    }
-    for (int64_t idx = 0; idx < dim_sizes_[d]; ++idx) {
-      if (!allowed[d][static_cast<size_t>(idx)]) continue;
-      cell[d] = idx;
-      if (!general.empty()) {
-        const Value& rep = reps[d][static_cast<size_t>(idx)];
-        *slots[d].first = rep;
-        *slots[d].second = rep;
-      }
-      VR_RETURN_NOT_OK(recurse(d + 1));
-    }
-    return Status::OK();
-  };
-  if (n == 0) {
-    total = array.empty() ? 0.0 : array[0];
-    if (!general.empty()) {
-      return Status::ExecutionError("filter on a zero-dimensional view");
-    }
-  } else {
-    VR_RETURN_NOT_OK(recurse(0));
+    }));
+    mask->factors.push_back(std::move(f));
   }
-  return total;
+  return Status::OK();
 }
 
-Result<double> Synopsis::EstimateExtremum(const std::string& column,
-                                          bool is_max, const Expr* where,
-                                          const ParamMap& params,
-                                          bool use_exact) const {
-  const auto& arrays = use_exact ? exact_ : noisy_;
-  int dim = -1;
-  for (size_t i = 0; i < view_->attributes().size(); ++i) {
-    if (view_->attributes()[i].column == column) {
-      dim = static_cast<int>(i);
-      break;
+Result<std::vector<double>> Synopsis::SumCells(
+    const CellMask& mask, const std::vector<int64_t>& pins,
+    const std::vector<const std::vector<double>*>& arrays) const {
+  std::vector<double> totals(arrays.size(), 0.0);
+  if (!mask.any) return totals;
+  const size_t n = dim_sizes_.size();
+  if (n == 0) {
+    for (size_t k = 0; k < arrays.size(); ++k) totals[k] = (*arrays[k])[0];
+    return totals;
+  }
+  // Odometer over the outer dimensions; the last dimension, contiguous in
+  // the flat arrays, is the inner loop.
+  std::vector<std::vector<int64_t>> outer;
+  for (size_t d = 0; d + 1 < n; ++d) {
+    outer.push_back(Admitted(mask.dims[d], pins[d]));
+  }
+  const std::vector<int64_t> inner = Admitted(mask.dims[n - 1], pins[n - 1]);
+  // Per factor: its verdicts at (outer cell, 0), and its stride along the
+  // last dimension (0 when it does not read that dimension).
+  std::vector<const char*> verdicts(mask.factors.size());
+  std::vector<size_t> step(mask.factors.size());
+  for (size_t i = 0; i < mask.factors.size(); ++i) {
+    const CellMask::Factor& f = mask.factors[i];
+    step[i] = f.dims.back() == n - 1 ? f.strides.back() : 0;
+  }
+  std::vector<const double*> data;
+  for (const std::vector<double>* a : arrays) data.push_back(a->data());
+  VR_RETURN_NOT_OK(ForEachCell(outer, [&](const std::vector<int64_t>& cell) {
+    size_t row = 0;  // flat index of (cell, 0)
+    for (size_t d = 0; d + 1 < n; ++d) {
+      row = (row + static_cast<size_t>(cell[d])) *
+            static_cast<size_t>(dim_sizes_[d + 1]);
     }
+    for (size_t i = 0; i < mask.factors.size(); ++i) {
+      const CellMask::Factor& f = mask.factors[i];
+      verdicts[i] = f.verdict.data();
+      for (size_t k = 0; k < f.dims.size(); ++k) {
+        if (f.dims[k] + 1 < n) {
+          verdicts[i] += static_cast<size_t>(cell[f.dims[k]]) * f.strides[k];
+        }
+      }
+    }
+    for (const int64_t idx : inner) {
+      size_t i = 0;
+      for (; i < verdicts.size(); ++i) {
+        const size_t at = static_cast<size_t>(idx) * step[i];
+        if (verdicts[i][at] == kPass) continue;
+        if (verdicts[i][at] == kError) {
+          const CellMask::Factor& f = mask.factors[i];
+          return f.errors.at(static_cast<size_t>(verdicts[i] + at -
+                                                 f.verdict.data()));
+        }
+        break;
+      }
+      if (i < verdicts.size()) continue;
+      for (size_t k = 0; k < data.size(); ++k) {
+        totals[k] += data[k][row + static_cast<size_t>(idx)];
+      }
+    }
+    return Status::OK();
+  }));
+  return totals;
+}
+
+Result<std::optional<double>> Synopsis::TryHierarchicalCount(
+    const CellMask& mask, const std::vector<int64_t>& pins) const {
+  if (!hier_count_.has_value() || dim_sizes_.size() != 1 || !mask.any) {
+    return std::optional<double>();
   }
-  if (dim < 0) {
-    return Status::NotFound("extremum column '" + column +
-                            "' is not a view dimension");
+  // The tree helps only when the admitted cells form one contiguous value
+  // range that excludes the NULL padding cell.
+  const std::vector<int64_t> cells = Admitted(mask.dims[0], pins[0]);
+  if (cells.empty() || cells.back() == dim_sizes_[0] - 1 ||
+      cells.back() - cells.front() + 1 != static_cast<int64_t>(cells.size())) {
+    return std::optional<double>();
   }
-  const ViewAttribute& attr = view_->attributes()[static_cast<size_t>(dim)];
-  const int64_t cells = attr.domain.CellCount();
+  VR_ASSIGN_OR_RETURN(double sum,
+                      hier_count_->RangeSum(cells.front(), cells.back()));
+  return std::optional<double>(sum);
+}
+
+Result<double> Synopsis::EstimateExtremum(size_t dim, bool is_max,
+                                          const CellMask& mask,
+                                          std::vector<int64_t> pins,
+                                          bool use_exact) const {
+  const std::vector<double>& count = (use_exact ? exact_ : noisy_).at("count");
+  const int64_t cells = view_->attributes()[dim].domain.CellCount();
+  const std::vector<Value>& reps = reps_[dim];
 
   // Noisy count of qualifying rows in each slice of the target dimension
   // (WHERE applied); the noisy extremum is the outermost slice whose
-  // count clears the noise floor.
-  auto slice_count = [&](int64_t idx) -> Result<double> {
-    ExprPtr eq = MakeBinary(
-        BinaryOp::kEq, MakeColumnRef(attr.table, attr.column),
-        MakeLiteral(Representative(static_cast<size_t>(dim), idx)));
-    ExprPtr combined =
-        where ? MakeAnd(where->Clone(), std::move(eq)) : std::move(eq);
-    return SumMatchingCells(arrays.at("count"), combined.get(), params);
-  };
-  std::vector<double> counts;
-  counts.reserve(static_cast<size_t>(cells));
+  // count clears the noise floor. Slices outside a pinned group are empty.
+  const int64_t pinned = pins[dim];
+  std::vector<double> counts(static_cast<size_t>(cells), 0.0);
   for (int64_t idx = 0; idx < cells; ++idx) {
-    VR_ASSIGN_OR_RETURN(double c, slice_count(idx));
-    counts.push_back(c);
+    if (pinned >= 0 && pinned != idx) continue;
+    pins[dim] = idx;
+    VR_ASSIGN_OR_RETURN(std::vector<double> slice,
+                        SumCells(mask, pins, {&count}));
+    counts[static_cast<size_t>(idx)] = slice[0];
   }
   const double threshold =
       use_exact ? 0.5 : std::max(1.0, 2.0 * count_noise_scale_);
   if (is_max) {
     for (int64_t idx = cells - 1; idx >= 0; --idx) {
       if (counts[static_cast<size_t>(idx)] > threshold) {
-        return Representative(static_cast<size_t>(dim), idx).ToDouble();
+        return reps[static_cast<size_t>(idx)].ToDouble();
       }
     }
   } else {
     for (int64_t idx = 0; idx < cells; ++idx) {
       if (counts[static_cast<size_t>(idx)] > threshold) {
-        return Representative(static_cast<size_t>(dim), idx).ToDouble();
+        return reps[static_cast<size_t>(idx)].ToDouble();
       }
     }
   }
@@ -688,79 +732,8 @@ Result<double> Synopsis::EstimateExtremum(const std::string& column,
       best = idx;
     }
   }
-  return Representative(static_cast<size_t>(dim), best).ToDouble();
+  return reps[static_cast<size_t>(best)].ToDouble();
 }
-
-namespace {
-
-/// Evaluates an item expression after aggregate calls have been resolved
-/// to numbers (keyed by canonical SQL).
-Result<double> EvalAggregateExpr(
-    const Expr& e, const std::map<std::string, double>& agg_values) {
-  auto it = agg_values.find(ToSql(e));
-  if (it != agg_values.end()) return it->second;
-  switch (e.kind) {
-    case ExprKind::kLiteral: {
-      const Value& v = static_cast<const LiteralExpr&>(e).value;
-      if (!v.is_numeric()) {
-        return Status::TypeMismatch("non-numeric literal in aggregate expr");
-      }
-      return v.ToDouble();
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      VR_ASSIGN_OR_RETURN(double l, EvalAggregateExpr(*b.left, agg_values));
-      VR_ASSIGN_OR_RETURN(double r, EvalAggregateExpr(*b.right, agg_values));
-      switch (b.op) {
-        case BinaryOp::kAdd: return l + r;
-        case BinaryOp::kSub: return l - r;
-        case BinaryOp::kMul: return l * r;
-        case BinaryOp::kDiv:
-          if (r == 0) return Status::ExecutionError("division by zero");
-          return l / r;
-        default:
-          return Status::Unsupported("operator in aggregate expression");
-      }
-    }
-    case ExprKind::kUnary: {
-      const auto& u = static_cast<const UnaryExpr&>(e);
-      if (u.op == UnaryOp::kNeg) {
-        VR_ASSIGN_OR_RETURN(double v,
-                            EvalAggregateExpr(*u.operand, agg_values));
-        return -v;
-      }
-      return Status::Unsupported("NOT in aggregate expression");
-    }
-    default:
-      return Status::Unsupported("expression around aggregates");
-  }
-}
-
-void CollectAggCallsForAnswer(const Expr* e,
-                              std::vector<const FuncCallExpr*>* out) {
-  if (e == nullptr) return;
-  if (e->kind == ExprKind::kFuncCall) {
-    const auto* f = static_cast<const FuncCallExpr*>(e);
-    if (f->IsAggregate()) {
-      out->push_back(f);
-      return;
-    }
-    for (const auto& a : f->args) CollectAggCallsForAnswer(a.get(), out);
-    return;
-  }
-  if (e->kind == ExprKind::kBinary) {
-    const auto* b = static_cast<const BinaryExpr*>(e);
-    CollectAggCallsForAnswer(b->left.get(), out);
-    CollectAggCallsForAnswer(b->right.get(), out);
-    return;
-  }
-  if (e->kind == ExprKind::kUnary) {
-    CollectAggCallsForAnswer(static_cast<const UnaryExpr*>(e)->operand.get(),
-                             out);
-  }
-}
-
-}  // namespace
 
 Result<double> Synopsis::AnswerScalar(const SelectStmt& query,
                                       const ParamMap& params) const {
@@ -820,104 +793,104 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
     data.is_aggregate.push_back(item.expr->kind != ExprKind::kColumnRef);
   }
 
-  // The synthetic COUNT(*) backing every row's noisy_count.
+  // The synthetic COUNT(*) backing every row's noisy_count, then each
+  // distinct aggregate call of the select list and HAVING.
   std::vector<ExprPtr> star_args;
   star_args.push_back(std::make_unique<StarExpr>());
   const FuncCallExpr count_star("count", std::move(star_args));
+  std::vector<const FuncCallExpr*> calls;
+  for (const SelectItem& item : query.items) {
+    CollectAggregateCalls(item.expr.get(), &calls);
+  }
+  CollectAggregateCalls(query.having.get(), &calls);
+  std::vector<const FuncCallExpr*> aggs = {&count_star};
+  std::vector<std::string> keys = {ToSql(count_star)};
+  for (const FuncCallExpr* call : calls) {
+    std::string key = ToSql(*call);
+    if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+    keys.push_back(std::move(key));
+    aggs.push_back(call);
+  }
 
-  // Enumerate group cells (value cells only; the NULL/other padding cell
-  // is not a publishable group key) and answer each slice by pinning the
-  // group dimensions with synthetic equality predicates.
-  std::vector<int64_t> combo(group_dims.size(), 0);
-  std::function<Status(size_t)> recurse = [&](size_t d) -> Status {
-    if (d == group_dims.size()) {
-      ExprPtr where = query.where ? query.where->Clone() : nullptr;
-      // Group-key values, for select items and for HAVING column refs.
-      std::map<std::string, Value> group_values;
-      for (size_t gi = 0; gi < group_dims.size(); ++gi) {
-        const ViewAttribute& attr = view_->attributes()[group_dims[gi]];
-        Value rep = Representative(group_dims[gi], combo[gi]);
-        group_values[attr.column] = rep;
-        group_values[attr.table + "." + attr.column] = rep;
-        where = MakeAnd(std::move(where),
-                        MakeBinary(BinaryOp::kEq,
-                                   MakeColumnRef(attr.table, attr.column),
-                                   MakeLiteral(std::move(rep))));
-      }
-
-      // Answer each distinct aggregate call once per group (select list
-      // and HAVING share the memo), always including COUNT(*) for the
-      // suppression input.
-      std::map<std::string, double> agg_values;
-      auto answer_agg = [&](const FuncCallExpr& agg) -> Status {
-        const std::string key = ToSql(agg);
-        if (agg_values.count(key) != 0) return Status::OK();
-        VR_ASSIGN_OR_RETURN(
-            double v, AnswerAggCall(agg, where.get(), params, use_exact));
-        agg_values[key] = v;
-        return Status::OK();
-      };
-      VR_RETURN_NOT_OK(answer_agg(count_star));
-      std::vector<const FuncCallExpr*> aggs;
-      for (const SelectItem& item : query.items) {
-        CollectAggCallsForAnswer(item.expr.get(), &aggs);
-      }
-      CollectAggCallsForAnswer(query.having.get(), &aggs);
-      for (const FuncCallExpr* agg : aggs) VR_RETURN_NOT_OK(answer_agg(*agg));
-
-      aggregate::EvalContext ctx;
-      ctx.aggregates = &agg_values;
-      ctx.columns = &group_values;
-
-      // Post-noise HAVING: the aggregates above are already published
-      // noisy values, so filtering on them is pure post-processing.
-      if (query.having != nullptr) {
-        VR_ASSIGN_OR_RETURN(bool keep,
-                            aggregate::EvaluateHaving(*query.having, ctx));
-        if (!keep) return Status::OK();
-      }
-
-      aggregate::GroupedRow row;
-      row.noisy_count = agg_values[ToSql(count_star)];
-      for (const SelectItem& item : query.items) {
-        if (item.expr->kind == ExprKind::kColumnRef) {
-          // Group key output.
-          const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
-          int dim = view_->AttributeIndex(ref.table, ref.column);
-          bool emitted = false;
-          for (size_t gi = 0; gi < group_dims.size(); ++gi) {
-            if (static_cast<int>(group_dims[gi]) == dim) {
-              row.values.push_back(Representative(group_dims[gi], combo[gi]));
-              emitted = true;
-              break;
-            }
-          }
-          if (!emitted) {
-            return Status::InvalidArgument(
-                "non-grouped column '" + ref.FullName() +
-                "' in grouped select list");
-          }
-          continue;
-        }
-        VR_ASSIGN_OR_RETURN(Value v, aggregate::EvalExpr(*item.expr, ctx));
-        if (!v.is_numeric()) {
-          return Status::TypeMismatch(
-              "grouped aggregate item did not evaluate to a number");
-        }
-        row.values.push_back(Value::Double(v.ToDouble()));
-      }
-      data.rows.push_back(std::move(row));
-      return Status::OK();
+  // Group cells are the value cells of the group dimensions (the
+  // NULL/other padding cell is not a publishable group key). The WHERE is
+  // compiled once; each group pins its dimensions.
+  std::vector<std::vector<int64_t>> group_cells;
+  for (size_t dim : group_dims) {
+    group_cells.emplace_back(static_cast<size_t>(
+        view_->attributes()[dim].domain.CellCount()));
+    std::iota(group_cells.back().begin(), group_cells.back().end(), 0);
+    if (group_cells.back().empty()) return data;
+  }
+  CellMask mask;
+  VR_RETURN_NOT_OK(CompileWhere(query.where.get(), params, &mask));
+  std::vector<int64_t> pins(dim_sizes_.size());
+  VR_RETURN_NOT_OK(ForEachCell(group_cells, [&](
+                                   const std::vector<int64_t>& combo)
+                                   -> Status {
+    // Group-key values, for select items and for HAVING column refs.
+    std::fill(pins.begin(), pins.end(), -1);
+    std::map<std::string, Value> group_values;
+    for (size_t gi = 0; gi < group_dims.size(); ++gi) {
+      const size_t dim = group_dims[gi];
+      // A dimension grouped twice with different keys pins no cell.
+      pins[dim] = pins[dim] < 0 || pins[dim] == combo[gi] ? combo[gi]
+                                                          : dim_sizes_[dim];
+      const ViewAttribute& attr = view_->attributes()[dim];
+      const Value& rep = reps_[dim][static_cast<size_t>(combo[gi])];
+      group_values[attr.column] = rep;
+      group_values[attr.table + "." + attr.column] = rep;
     }
-    const int64_t cells =
-        view_->attributes()[group_dims[d]].domain.CellCount();
-    for (int64_t idx = 0; idx < cells; ++idx) {
-      combo[d] = idx;
-      VR_RETURN_NOT_OK(recurse(d + 1));
+    VR_ASSIGN_OR_RETURN(std::vector<double> values,
+                        AnswerAggCalls(aggs, mask, pins, use_exact));
+    std::map<std::string, double> agg_values;
+    for (size_t i = 0; i < aggs.size(); ++i) agg_values[keys[i]] = values[i];
+
+    aggregate::EvalContext ctx;
+    ctx.aggregates = &agg_values;
+    ctx.columns = &group_values;
+
+    // Post-noise HAVING: the aggregates above are already published
+    // noisy values, so filtering on them is pure post-processing.
+    if (query.having != nullptr) {
+      VR_ASSIGN_OR_RETURN(bool keep,
+                          aggregate::EvaluateHaving(*query.having, ctx));
+      if (!keep) return Status::OK();
     }
+
+    aggregate::GroupedRow row;
+    row.noisy_count = values[0];
+    for (const SelectItem& item : query.items) {
+      if (item.expr->kind == ExprKind::kColumnRef) {
+        // Group key output.
+        const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
+        int dim = view_->AttributeIndex(ref.table, ref.column);
+        bool emitted = false;
+        for (size_t gi = 0; gi < group_dims.size(); ++gi) {
+          if (static_cast<int>(group_dims[gi]) == dim) {
+            row.values.push_back(
+                reps_[group_dims[gi]][static_cast<size_t>(combo[gi])]);
+            emitted = true;
+            break;
+          }
+        }
+        if (!emitted) {
+          return Status::InvalidArgument(
+              "non-grouped column '" + ref.FullName() +
+              "' in grouped select list");
+        }
+        continue;
+      }
+      VR_ASSIGN_OR_RETURN(Value v, aggregate::EvalExpr(*item.expr, ctx));
+      if (!v.is_numeric()) {
+        return Status::TypeMismatch(
+            "grouped aggregate item did not evaluate to a number");
+      }
+      row.values.push_back(Value::Double(v.ToDouble()));
+    }
+    data.rows.push_back(std::move(row));
     return Status::OK();
-  };
-  VR_RETURN_NOT_OK(recurse(0));
+  }));
   return data;
 }
 
@@ -930,66 +903,100 @@ Result<double> Synopsis::AnswerScalarImpl(const SelectStmt& query,
   }
   const Expr& item = *query.items[0].expr;
   std::vector<const FuncCallExpr*> aggs;
-  CollectAggCallsForAnswer(&item, &aggs);
+  CollectAggregateCalls(&item, &aggs);
   if (aggs.empty()) {
     return Status::InvalidArgument("query item has no aggregate");
   }
 
+  CellMask mask;
+  VR_RETURN_NOT_OK(CompileWhere(query.where.get(), params, &mask));
+  VR_ASSIGN_OR_RETURN(
+      std::vector<double> values,
+      AnswerAggCalls(aggs, mask, std::vector<int64_t>(dim_sizes_.size(), -1),
+                     use_exact));
   std::map<std::string, double> agg_values;
-  for (const FuncCallExpr* agg : aggs) {
-    VR_ASSIGN_OR_RETURN(double value, AnswerAggCall(*agg, query.where.get(),
-                                                    params, use_exact));
-    agg_values[ToSql(*agg)] = value;
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    agg_values[ToSql(*aggs[i])] = values[i];
   }
-  return EvalAggregateExpr(item, agg_values);
+  aggregate::EvalContext ctx;
+  ctx.aggregates = &agg_values;
+  VR_ASSIGN_OR_RETURN(Value v, aggregate::EvalExpr(item, ctx));
+  if (!v.is_numeric()) {
+    return Status::TypeMismatch("aggregate item did not evaluate to a number");
+  }
+  return v.ToDouble();
 }
 
-Result<double> Synopsis::AnswerAggCall(const FuncCallExpr& agg,
-                                       const Expr* where,
-                                       const ParamMap& params,
-                                       bool use_exact) const {
+Result<std::vector<double>> Synopsis::AnswerAggCalls(
+    const std::vector<const FuncCallExpr*>& aggs, const CellMask& mask,
+    const std::vector<int64_t>& pins, bool use_exact) const {
   const auto& arrays = use_exact ? exact_ : noisy_;
-  VR_ASSIGN_OR_RETURN(aggregate::AggregatePlan plan,
-                      aggregate::PlanAggregate(agg));
-  if (plan.is_extremum) {
-    const auto& col = static_cast<const ColumnRefExpr&>(*plan.arg);
-    return EstimateExtremum(col.column, agg.name == "max", where, params,
-                            use_exact);
-  }
-  double count = 0;
-  double sum = 0;
-  double sumsq = 0;
-  if (plan.derivation == aggregate::Derivation::kCount || plan.needs_count) {
-    bool answered = false;
-    if (plan.derivation == aggregate::Derivation::kCount && !use_exact) {
-      VR_ASSIGN_OR_RETURN(std::optional<double> hier,
-                          TryHierarchicalCount(where, params));
-      if (hier.has_value()) {
-        count = *hier;
-        answered = true;
+  std::vector<double> values(aggs.size(), 0.0);
+  // Distinct measure arrays the calls read, summed in one pass below;
+  // each call keeps the slots of the readings its derivation combines.
+  std::vector<const std::vector<double>*> read;
+  auto slot = [&](const std::string& key,
+                  const std::string& why) -> Result<int> {
+    auto it = arrays.find(key);
+    if (it == arrays.end()) {
+      return Status::NotFound("view has no measure '" + key + "'" + why);
+    }
+    auto at = std::find(read.begin(), read.end(), &it->second);
+    if (at == read.end()) at = read.insert(at, &it->second);
+    return static_cast<int>(at - read.begin());
+  };
+  struct Derived {
+    size_t agg;
+    aggregate::Derivation derivation;
+    std::optional<double> tree_count{};  // from the hierarchical release
+    int count = -1, sum = -1, sumsq = -1;
+  };
+  std::vector<Derived> derived;
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    VR_ASSIGN_OR_RETURN(aggregate::AggregatePlan plan,
+                        aggregate::PlanAggregate(*aggs[i]));
+    if (plan.is_extremum) {
+      const auto& col = static_cast<const ColumnRefExpr&>(*plan.arg);
+      const int dim = view_->AttributeIndex(col.table, col.column);
+      if (dim < 0) {
+        return Status::NotFound("extremum column '" + col.FullName() +
+                                "' is not a view dimension");
       }
+      VR_ASSIGN_OR_RETURN(values[i], EstimateExtremum(
+                                         static_cast<size_t>(dim),
+                                         aggs[i]->name == "max", mask, pins,
+                                         use_exact));
+      continue;
     }
-    if (!answered) {
-      VR_ASSIGN_OR_RETURN(count,
-                          SumMatchingCells(arrays.at("count"), where, params));
+    Derived d{i, plan.derivation};
+    if (plan.derivation == aggregate::Derivation::kCount && !use_exact) {
+      VR_ASSIGN_OR_RETURN(d.tree_count, TryHierarchicalCount(mask, pins));
     }
+    if ((plan.derivation == aggregate::Derivation::kCount ||
+         plan.needs_count) &&
+        !d.tree_count.has_value()) {
+      VR_ASSIGN_OR_RETURN(d.count, slot("count", ""));
+    }
+    if (!plan.sum_key.empty()) {
+      VR_ASSIGN_OR_RETURN(d.sum, slot(plan.sum_key, ""));
+    }
+    if (!plan.sumsq_key.empty()) {
+      VR_ASSIGN_OR_RETURN(
+          d.sumsq, slot(plan.sumsq_key, " (needed for " + aggs[i]->name + ")"));
+    }
+    derived.push_back(std::move(d));
   }
-  if (!plan.sum_key.empty()) {
-    auto it = arrays.find(plan.sum_key);
-    if (it == arrays.end()) {
-      return Status::NotFound("view has no measure '" + plan.sum_key + "'");
-    }
-    VR_ASSIGN_OR_RETURN(sum, SumMatchingCells(it->second, where, params));
+  std::vector<double> totals;
+  if (!read.empty()) {
+    VR_ASSIGN_OR_RETURN(totals, SumCells(mask, pins, read));
   }
-  if (!plan.sumsq_key.empty()) {
-    auto it = arrays.find(plan.sumsq_key);
-    if (it == arrays.end()) {
-      return Status::NotFound("view has no measure '" + plan.sumsq_key +
-                              "' (needed for " + agg.name + ")");
-    }
-    VR_ASSIGN_OR_RETURN(sumsq, SumMatchingCells(it->second, where, params));
+  auto total = [&](int at) { return at < 0 ? 0.0 : totals[at]; };
+  for (const Derived& d : derived) {
+    values[d.agg] = aggregate::EvaluateDerived(
+        d.derivation, d.tree_count.value_or(total(d.count)), total(d.sum),
+        total(d.sumsq));
   }
-  return aggregate::EvaluateDerived(plan.derivation, count, sum, sumsq);
+  return values;
 }
 
 }  // namespace viewrewrite

@@ -59,11 +59,11 @@ class Synopsis {
                                 const SynopsisOptions& options, Random* rng);
 
   /// Answers a scalar aggregate `query` whose FROM matches this view:
-  /// evaluates the WHERE against every cell's representative values and
-  /// totals the matching noisy measure cells. Supports COUNT, SUM(expr)
-  /// (for registered measure expressions), MIN/MAX/AVG(col) (estimated
-  /// from the histograms over col's dimension), and arithmetic around
-  /// aggregate calls.
+  /// compiles the WHERE over the cells' representative values (see
+  /// CompileWhere) and totals the admitted noisy measure cells. Supports
+  /// COUNT, SUM(expr) (for registered measure expressions), MIN/MAX/
+  /// AVG(col) (estimated from the histograms over col's dimension), and
+  /// arithmetic around aggregate calls.
   Result<double> AnswerScalar(const SelectStmt& query,
                               const ParamMap& params) const;
 
@@ -112,41 +112,55 @@ class Synopsis {
  private:
   Synopsis() = default;
 
-  /// Representative value of dimension `dim` at cell index `idx`
-  /// (the extra index == CellCount() is the NULL/other cell).
-  Value Representative(size_t dim, int64_t idx) const;
+  /// A WHERE compiled against this synopsis's grid (see CompileWhere).
+  struct CellMask;
+
+  /// Fills `reps_` from the view's domains.
+  void BuildRepresentatives();
 
   int64_t CellOf(size_t dim, const Value& v) const;
-
-  /// Mixed-radix flattening over (CellCount()+1) per dimension.
-  size_t FlatIndex(const std::vector<int64_t>& cell) const;
 
   Result<double> AnswerScalarImpl(const SelectStmt& query,
                                   const ParamMap& params,
                                   bool use_exact) const;
 
-  /// Answers one aggregate call over the cells matching `where` by
-  /// combining published measures per its AggregatePlan (the shared
-  /// engine behind both the scalar and the grouped answer paths).
-  Result<double> AnswerAggCall(const FuncCallExpr& agg, const Expr* where,
-                               const ParamMap& params, bool use_exact) const;
+  /// Compiles `where` once per answer: resolves every column ref to a
+  /// dimension, evaluates constant conjuncts, each single-dimension
+  /// conjunct over its dimension's values and each multi-dimension
+  /// conjunct over the sub-grid of its own dimensions.
+  Status CompileWhere(const Expr* where, const ParamMap& params,
+                      CellMask* mask) const;
 
-  Result<double> SumMatchingCells(const std::vector<double>& array,
-                                  const Expr* where,
-                                  const ParamMap& params) const;
+  /// Answers each aggregate call over the cells `mask` admits, with every
+  /// dimension d where pins[d] >= 0 fixed to that cell index (the engine
+  /// behind the scalar, grouped and extremum answers). The published
+  /// measures the calls read are summed in one pass.
+  Result<std::vector<double>> AnswerAggCalls(
+      const std::vector<const FuncCallExpr*>& aggs, const CellMask& mask,
+      const std::vector<int64_t>& pins, bool use_exact) const;
 
-  Result<double> EstimateExtremum(const std::string& column, bool is_max,
-                                  const Expr* where, const ParamMap& params,
+  /// Totals each array over the admitted cells, in lexicographic cell
+  /// order with one accumulator per array.
+  Result<std::vector<double>> SumCells(
+      const CellMask& mask, const std::vector<int64_t>& pins,
+      const std::vector<const std::vector<double>*>& arrays) const;
+
+  Result<double> EstimateExtremum(size_t dim, bool is_max,
+                                  const CellMask& mask,
+                                  std::vector<int64_t> pins,
                                   bool use_exact) const;
 
   /// Attempts to answer a 1-D COUNT via the hierarchical tree: succeeds
-  /// when the per-dimension mask is one contiguous value range (no NULL
+  /// when the admitted cells are one contiguous value range (no NULL
   /// cell), the case range decomposition accelerates.
   Result<std::optional<double>> TryHierarchicalCount(
-      const Expr* where, const ParamMap& params) const;
+      const CellMask& mask, const std::vector<int64_t>& pins) const;
 
   const ViewDef* view_ = nullptr;  // owned by the ViewManager
   std::vector<int64_t> dim_sizes_;  // CellCount()+1 per attribute
+  /// Representative value per dimension and cell index: categorical
+  /// value, bucket midpoint, or NULL for the padding cell.
+  std::vector<std::vector<Value>> reps_;
   /// Hierarchical release of the count histogram (1-D views under
   /// MatrixStrategy::kHierarchical only).
   std::optional<HierarchicalHistogram> hier_count_;
