@@ -33,7 +33,7 @@
 
 #include "bench/bench_util.h"
 #include "serve/query_server.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 
 int main() {
   using namespace viewrewrite;

@@ -30,7 +30,7 @@
 #include "engine/viewrewrite_engine.h"
 #include "serve/query_server.h"
 #include "serve/republisher.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 
 int main(int argc, char** argv) {
   using namespace viewrewrite;

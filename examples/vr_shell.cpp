@@ -195,7 +195,7 @@ class Shell {
       return;
     }
     for (size_t i = 0; i < prepared_->NumQueries(); ++i) {
-      if (prepared_->IsGrouped(i)) {
+      if (prepared_->bound(i).IsGrouped()) {
         auto rows = prepared_->GroupedAnswer(i);
         if (!rows.ok()) {
           std::printf("Q%zu failed: %s\n", i + 1,

@@ -21,9 +21,9 @@
 #include "datagen/tpch.h"
 #include "dp/budget_wal.h"
 #include "rewrite/rewriter.h"
-#include "serve/synopsis_store.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "view/synopsis_store.h"
 
 namespace viewrewrite {
 namespace fuzz {

@@ -16,7 +16,7 @@
 #include "datagen/tpch.h"
 #include "dp/budget_wal.h"
 #include "engine/viewrewrite_engine.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 #include "workload/workload.h"
 
 namespace {

@@ -3,18 +3,13 @@
 #include <chrono>
 #include <set>
 
+#include "engine/engine_internal.h"
 #include "rewrite/analysis.h"
 #include "sql/parser.h"
 
 namespace viewrewrite {
 
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 RewriteOptions BaselineRewriteOptions(RewriteOptions base) {
   // Materialization-only rewriting: keep subquery constants inside the
@@ -48,12 +43,19 @@ PrivateSqlEngine::PrivateSqlEngine(const Database& db, PrivacyPolicy policy,
     : db_(db),
       policy_(std::move(policy)),
       options_(options),
-      rewriter_(db.schema(), BaselineRewriteOptions(options.rewrite)),
-      views_(db.schema(), policy_, options.synopsis),
+      rewriter_(db.schema(), BaselineRewriteOptions(RewriteWithLimits(
+                                 options.rewrite, options.limits))),
+      views_(db.schema(), policy_,
+             SynopsisWithLimits(options.synopsis, options.limits)),
       executor_(db),
       rng_(options.seed) {}
 
 Status PrivateSqlEngine::Prepare(const std::vector<std::string>& workload) {
+  if (views_.accountant() != nullptr) {
+    // A second publication would re-spend the budget; the first keeps
+    // serving.
+    return Status::AlreadyExists("Prepare runs once per engine");
+  }
   stats_ = EngineStats{};
   stats_.num_queries = workload.size();
   report_ = PrepareReport{};
@@ -69,7 +71,8 @@ Status PrivateSqlEngine::Prepare(const std::vector<std::string>& workload) {
   rewritten_.resize(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
     auto rewrite_one = [&]() -> Result<RewrittenQuery> {
-      VR_ASSIGN_OR_RETURN(SelectStmtPtr stmt, ParseSelect(workload[i]));
+      VR_ASSIGN_OR_RETURN(SelectStmtPtr stmt,
+                          ParseSelect(workload[i], options_.limits));
       return rewriter_.Rewrite(*stmt);
     };
     Result<RewrittenQuery> rq = rewrite_one();
@@ -152,13 +155,7 @@ Status PrivateSqlEngine::Prepare(const std::vector<std::string>& workload) {
     }
   }
   stats_.publish_seconds = SecondsSince(t0);
-  if (const BudgetAccountant* budget = views_.accountant()) {
-    stats_.budget_total_epsilon = budget->total();
-    stats_.budget_spent_epsilon = budget->spent();
-    for (const BudgetAccountant::Entry& entry : budget->ledger()) {
-      if (entry.refund) ++stats_.budget_refunds;
-    }
-  }
+  SnapshotBudget(views_, &stats_);
 
   report_.num_prepared = workload.size() - report_.num_quarantined;
   if (!workload.empty() && report_.num_prepared == 0) {
@@ -176,7 +173,7 @@ Result<double> PrivateSqlEngine::NoisyAnswer(size_t i) {
   }
   if (!report_.query_status[i].ok()) return report_.query_status[i];
   auto t0 = std::chrono::steady_clock::now();
-  Result<double> out = views_.Answer(bound_[i]);
+  Result<double> out = views_.published()->Answer(bound_[i]);
   stats_.answer_seconds += SecondsSince(t0);
   return out;
 }
@@ -194,7 +191,8 @@ Result<double> PrivateSqlEngine::ExactViewAnswer(size_t i) const {
     return Status::InvalidArgument("query index out of range");
   }
   if (!report_.query_status[i].ok()) return report_.query_status[i];
-  return views_.Answer(bound_[i], /*exact=*/true);
+  return views_.published()->Answer(bound_[i], /*params=*/{},
+                                    /*exact=*/true);
 }
 
 Result<double> PrivateSqlEngine::RelativeError(size_t i) {

@@ -4,50 +4,10 @@
 #include <chrono>
 #include <cmath>
 
+#include "engine/engine_internal.h"
 #include "sql/parser.h"
 
 namespace viewrewrite {
-
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// EngineOptions::limits is the single governance knob: stamp it into the
-/// sub-option structs the pipeline components actually consume.
-RewriteOptions RewriteWithLimits(RewriteOptions rewrite,
-                                 const ResourceLimits& l) {
-  rewrite.limits = l;
-  return rewrite;
-}
-
-SynopsisOptions SynopsisWithLimits(SynopsisOptions synopsis,
-                                   const ResourceLimits& l) {
-  synopsis.max_cells = static_cast<size_t>(
-      std::min<uint64_t>(synopsis.max_cells, l.max_view_cells));
-  return synopsis;
-}
-
-/// One snapshot of the accountant into the stats block, shared by every
-/// path that mutates the ledger. A poisoned accountant already reports 0
-/// from total()/remaining(); the flag makes the poisoning visible instead
-/// of looking like an untouched budget.
-void SnapshotBudget(const ViewManager& views, EngineStats* stats) {
-  const BudgetAccountant* budget = views.accountant();
-  if (budget == nullptr) return;
-  stats->budget_total_epsilon = budget->total();
-  stats->budget_spent_epsilon = budget->spent();
-  stats->budget_poisoned = budget->poisoned();
-  stats->budget_refunds = 0;
-  for (const BudgetAccountant::Entry& entry : budget->ledger()) {
-    if (entry.refund) ++stats->budget_refunds;
-  }
-}
-
-}  // namespace
 
 std::ostream& operator<<(std::ostream& os, const PrepareReport& report) {
   os << "prepared " << report.num_prepared << "/"
@@ -99,6 +59,11 @@ ViewRewriteEngine::ViewRewriteEngine(const Database& db, PrivacyPolicy policy,
 }
 
 Status ViewRewriteEngine::Prepare(const std::vector<std::string>& workload) {
+  if (views_.accountant() != nullptr) {
+    // A second publication would re-spend the budget; the first keeps
+    // serving.
+    return Status::AlreadyExists("Prepare runs once per engine");
+  }
   stats_ = EngineStats{};
   stats_.num_queries = workload.size();
   report_ = PrepareReport{};
@@ -216,42 +181,38 @@ Status ViewRewriteEngine::CheckpointBudgetWal(uint64_t generation) {
   return budget_wal_->AppendCheckpoint(generation);
 }
 
-bool ViewRewriteEngine::IsGrouped(size_t i) const {
-  if (i >= bound_.size()) return false;
-  const BoundRewrittenQuery& q = bound_[i];
-  return q.chain.empty() && q.terms.size() == 1 &&
-         q.terms[0].query.cell_query != nullptr &&
-         !q.terms[0].query.cell_query->group_by.empty();
-}
-
 Result<aggregate::GroupedData> ViewRewriteEngine::GroupedAnswer(size_t i,
                                                                 bool exact) {
   if (i >= bound_.size()) {
     return Status::InvalidArgument("query index out of range");
   }
   if (!report_.query_status[i].ok()) return report_.query_status[i];
-  if (!IsGrouped(i)) {
+  if (!bound_[i].IsGrouped()) {
     return Status::Unsupported("query " + std::to_string(i) +
                                " is scalar; use NoisyAnswer/TrueAnswer");
   }
   auto t0 = std::chrono::steady_clock::now();
-  Result<aggregate::GroupedData> out =
-      views_.AnswerGroupedData(bound_[i].terms[0].query, /*params=*/{}, exact);
+  Result<aggregate::GroupedData> out = views_.published()->AnswerGrouped(
+      bound_[i].terms[0].query, /*params=*/{}, exact);
   stats_.answer_seconds += SecondsSince(t0);
   return out;
 }
 
-Result<double> ViewRewriteEngine::NoisyAnswer(size_t i) {
+Result<double> ViewRewriteEngine::AnswerScalar(size_t i, bool exact) const {
   if (i >= bound_.size()) {
     return Status::InvalidArgument("query index out of range");
   }
   if (!report_.query_status[i].ok()) return report_.query_status[i];
-  if (IsGrouped(i)) {
+  if (bound_[i].IsGrouped()) {
     return Status::Unsupported("query " + std::to_string(i) +
                                " is grouped; use GroupedAnswer");
   }
+  return views_.published()->Answer(bound_[i], /*params=*/{}, exact);
+}
+
+Result<double> ViewRewriteEngine::NoisyAnswer(size_t i) {
   auto t0 = std::chrono::steady_clock::now();
-  Result<double> out = views_.Answer(bound_[i]);
+  Result<double> out = AnswerScalar(i, /*exact=*/false);
   stats_.answer_seconds += SecondsSince(t0);
   return out;
 }
@@ -261,7 +222,7 @@ Result<double> ViewRewriteEngine::TrueAnswer(size_t i) const {
     return Status::InvalidArgument("query index out of range");
   }
   if (!report_.query_status[i].ok()) return report_.query_status[i];
-  if (IsGrouped(i)) {
+  if (i < bound_.size() && bound_[i].IsGrouped()) {
     return Status::Unsupported("query " + std::to_string(i) +
                                " is grouped; use GroupedAnswer");
   }
@@ -269,15 +230,7 @@ Result<double> ViewRewriteEngine::TrueAnswer(size_t i) const {
 }
 
 Result<double> ViewRewriteEngine::ExactViewAnswer(size_t i) const {
-  if (i >= bound_.size()) {
-    return Status::InvalidArgument("query index out of range");
-  }
-  if (!report_.query_status[i].ok()) return report_.query_status[i];
-  if (IsGrouped(i)) {
-    return Status::Unsupported("query " + std::to_string(i) +
-                               " is grouped; use GroupedAnswer");
-  }
-  return views_.Answer(bound_[i], /*exact=*/true);
+  return AnswerScalar(i, /*exact=*/true);
 }
 
 Result<double> ViewRewriteEngine::RelativeError(size_t i) {

@@ -115,7 +115,9 @@ class ViewRewriteEngine {
   ViewRewriteEngine(const Database& db, PrivacyPolicy policy,
                     EngineOptions options = {});
 
-  /// Rewrites + registers + publishes. Call once.
+  /// Rewrites + registers + publishes. Call once: a second call after a
+  /// publication fails with AlreadyExists and changes nothing (later
+  /// generations go through RepublishChanged).
   ///
   /// Degraded mode (default): per-query failures quarantine the query,
   /// per-view publication failures refund that view's budget slice and
@@ -160,10 +162,10 @@ class ViewRewriteEngine {
   size_t NumQueries() const { return bound_.size(); }
   size_t NumViews() const { return views_.NumViews(); }
 
-  /// Whether prepared workload query `i` is a grouped aggregate (GROUP
-  /// BY): such queries are answered row-wise via GroupedAnswer; the
-  /// scalar answer paths return Unsupported for them.
-  bool IsGrouped(size_t i) const;
+  /// Workload query `i` bound to its views (empty when quarantined).
+  /// A grouped one (bound(i).IsGrouped()) is answered row-wise via
+  /// GroupedAnswer; the scalar answer paths return Unsupported for it.
+  const BoundRewrittenQuery& bound(size_t i) const { return bound_[i]; }
 
   /// Row-carrying answer for a grouped workload query: one row per group
   /// cell, derived aggregates computed from published measures, HAVING
@@ -191,6 +193,9 @@ class ViewRewriteEngine {
   const RewrittenQuery& rewritten(size_t i) const { return rewritten_[i]; }
 
  private:
+  /// Answers prepared scalar query `i` from the current publication.
+  Result<double> AnswerScalar(size_t i, bool exact) const;
+
   const Database& db_;
   PrivacyPolicy policy_;
   EngineOptions options_;

@@ -722,11 +722,7 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
                                    options_.outdated_ttl_generations);
     rows = nullptr;
     suppressed = 0;
-    const bool grouped =
-        bound.chain.empty() && bound.terms.size() == 1 &&
-        bound.terms[0].query.cell_query != nullptr &&
-        !bound.terms[0].query.cell_query->group_by.empty();
-    if (grouped) {
+    if (bound.IsGrouped()) {
       VR_ASSIGN_OR_RETURN(
           aggregate::GroupedData data,
           snap.store->AnswerGrouped(bound.terms[0].query, params));

@@ -24,7 +24,7 @@
 #include "serve/answer_cache.h"
 #include "serve/overload.h"
 #include "serve/serve_stats.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 
 namespace viewrewrite {
 

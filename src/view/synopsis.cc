@@ -735,24 +735,6 @@ Result<double> Synopsis::EstimateExtremum(size_t dim, bool is_max,
   return reps[static_cast<size_t>(best)].ToDouble();
 }
 
-Result<double> Synopsis::AnswerScalar(const SelectStmt& query,
-                                      const ParamMap& params) const {
-  return AnswerScalarImpl(query, params, /*use_exact=*/false);
-}
-
-Result<double> Synopsis::AnswerScalarExact(const SelectStmt& query,
-                                           const ParamMap& params) const {
-  return AnswerScalarImpl(query, params, /*use_exact=*/true);
-}
-
-Result<ResultSet> Synopsis::AnswerGrouped(const SelectStmt& query,
-                                          const ParamMap& params,
-                                          bool use_exact) const {
-  VR_ASSIGN_OR_RETURN(aggregate::GroupedData data,
-                      AnswerGroupedData(query, params, use_exact));
-  return data.ToResultSet();
-}
-
 Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
     const SelectStmt& query, const ParamMap& params, bool use_exact) const {
   if (query.group_by.empty()) {
@@ -894,9 +876,9 @@ Result<aggregate::GroupedData> Synopsis::AnswerGroupedData(
   return data;
 }
 
-Result<double> Synopsis::AnswerScalarImpl(const SelectStmt& query,
-                                          const ParamMap& params,
-                                          bool use_exact) const {
+Result<double> Synopsis::AnswerScalar(const SelectStmt& query,
+                                      const ParamMap& params,
+                                      bool use_exact) const {
   if (query.items.size() != 1 || query.items[0].is_star) {
     return Status::InvalidArgument(
         "synopsis answering expects a single aggregate item");

@@ -36,8 +36,8 @@ struct SynopsisParts;
 /// truncate per protected key, add matrix-mechanism noise.
 ///
 /// Thread safety: once built (or reconstructed), a Synopsis is immutable.
-/// All const members — AnswerScalar, AnswerScalarExact, AnswerGrouped,
-/// stats, ExactCells — only read the published arrays and build local
+/// All const members — AnswerScalar, AnswerGroupedData, stats,
+/// ExactCells — only read the published arrays and build local
 /// state, so any number of threads may answer queries from one Synopsis
 /// concurrently with no external locking. The serve layer's QueryServer
 /// relies on this contract.
@@ -64,15 +64,13 @@ class Synopsis {
   /// COUNT, SUM(expr) (for registered measure expressions), MIN/MAX/
   /// AVG(col) (estimated from the histograms over col's dimension), and
   /// arithmetic around aggregate calls.
-  Result<double> AnswerScalar(const SelectStmt& query,
-                              const ParamMap& params) const;
-
-  /// Same as AnswerScalar but over the exact (pre-noise, pre-truncation-
-  /// noise) cell totals. Benchmarks use it as ground truth: the paper's
+  ///
+  /// With `use_exact`, totals the exact (pre-noise, pre-truncation-noise)
+  /// cells instead. Benchmarks use that as ground truth: the paper's
   /// systems answer workload queries exactly from view tuples, so the
   /// reported error isolates the DP noise.
-  Result<double> AnswerScalarExact(const SelectStmt& query,
-                                   const ParamMap& params) const;
+  Result<double> AnswerScalar(const SelectStmt& query, const ParamMap& params,
+                              bool use_exact = false) const;
 
   /// Answers a grouped aggregate (GROUP BY over view attributes): one
   /// output row per group cell, keyed by the cell representative, with
@@ -88,11 +86,6 @@ class Synopsis {
                                                    bool use_exact = false)
       const;
 
-  /// Flattened convenience wrapper around AnswerGroupedData.
-  Result<ResultSet> AnswerGrouped(const SelectStmt& query,
-                                  const ParamMap& params,
-                                  bool use_exact = false) const;
-
   const BuildStats& stats() const { return stats_; }
   const ViewDef& view() const { return *view_; }
 
@@ -100,7 +93,7 @@ class Synopsis {
   const std::vector<double>& ExactCells(const std::string& measure_key) const;
 
   /// Serialization-friendly snapshot of the published state (deep copy,
-  /// no view pointer). The serve layer persists these parts.
+  /// no view pointer). SynopsisStore::Save persists these parts.
   SynopsisParts ToParts() const;
 
   /// Rebuilds a synopsis from persisted parts, bound to `view` (which the
@@ -119,10 +112,6 @@ class Synopsis {
   void BuildRepresentatives();
 
   int64_t CellOf(size_t dim, const Value& v) const;
-
-  Result<double> AnswerScalarImpl(const SelectStmt& query,
-                                  const ParamMap& params,
-                                  bool use_exact) const;
 
   /// Compiles `where` once per answer: resolves every column ref to a
   /// dimension, evaluates constant conjuncts, each single-dimension
@@ -156,7 +145,7 @@ class Synopsis {
   Result<std::optional<double>> TryHierarchicalCount(
       const CellMask& mask, const std::vector<int64_t>& pins) const;
 
-  const ViewDef* view_ = nullptr;  // owned by the ViewManager
+  const ViewDef* view_ = nullptr;  // shared with it in a SynopsisStore
   std::vector<int64_t> dim_sizes_;  // CellCount()+1 per attribute
   /// Representative value per dimension and cell index: categorical
   /// value, bucket midpoint, or NULL for the padding cell.

@@ -73,31 +73,6 @@ Result<BoundQuery> ViewManager::RegisterGrouped(const SelectStmt& query,
   return bound;
 }
 
-Result<ResultSet> ViewManager::AnswerGrouped(const BoundQuery& q,
-                                             const ParamMap& params,
-                                             bool exact) const {
-  auto it = synopses_.find(q.view_signature);
-  if (it == synopses_.end()) {
-    auto failed = failed_views_.find(q.view_signature);
-    if (failed != failed_views_.end()) return failed->second;
-    return Status::NotFound("no synopsis published for view '" +
-                            q.view_signature + "'");
-  }
-  return it->second.AnswerGrouped(*q.cell_query, params, exact);
-}
-
-Result<aggregate::GroupedData> ViewManager::AnswerGroupedData(
-    const BoundQuery& q, const ParamMap& params, bool exact) const {
-  auto it = synopses_.find(q.view_signature);
-  if (it == synopses_.end()) {
-    auto failed = failed_views_.find(q.view_signature);
-    if (failed != failed_views_.end()) return failed->second;
-    return Status::NotFound("no synopsis published for view '" +
-                            q.view_signature + "'");
-  }
-  return it->second.AnswerGroupedData(*q.cell_query, params, exact);
-}
-
 Result<BoundQuery> ViewManager::RegisterScalar(const SelectStmt& query,
                                                const BakePredicate& bake) {
   VR_FAULT_POINT(faults::kViewRegister);
@@ -198,11 +173,32 @@ size_t ViewManager::ViewUsage(const std::string& signature) const {
   return it == view_usage_.end() ? 0 : it->second;
 }
 
+Result<SynopsisStore::Entry> ViewManager::BuildEntry(const ViewDef& view,
+                                                     const Database& db,
+                                                     double epsilon,
+                                                     Random* rng) const {
+  // The synopsis is built against a frozen clone: it keeps a pointer to
+  // its view, and the clone cannot change under it when later
+  // registrations grow the manager's own definition.
+  std::shared_ptr<const ViewDef> frozen = view.Clone();
+  VR_ASSIGN_OR_RETURN(Synopsis syn, Synopsis::Build(*frozen, db, policy_,
+                                                    epsilon, options_, rng));
+  return SynopsisStore::Entry{
+      std::move(frozen), std::make_shared<const Synopsis>(std::move(syn))};
+}
+
 Status ViewManager::Publish(const Database& db, double total_epsilon,
                             Random* rng, BudgetAllocation allocation,
                             bool degraded, double lifetime_epsilon) {
   if (views_.empty()) {
     return Status::InvalidArgument("no views registered");
+  }
+  if (accountant_ != nullptr) {
+    // A second Publish would build a fresh accountant and re-spend the
+    // whole budget on top of what the first one (and the WAL) recorded.
+    return Status::AlreadyExists(
+        "views already published; later generations go through "
+        "RepublishViews");
   }
   // The accountant's total is the *lifetime* budget: the initial
   // publication splits total_epsilon, and any surplus is the reserve
@@ -224,8 +220,7 @@ Status ViewManager::Publish(const Database& db, double total_epsilon,
     accountant_ = std::make_unique<BudgetAccountant>(lifetime_total);
   }
   failed_views_.clear();
-  view_data_generation_.clear();
-  view_outdated_since_.clear();
+  auto store = std::shared_ptr<SynopsisStore>(new SynopsisStore());
   double total_weight = 0;
   auto weight_of = [&](const ViewDef& view) -> double {
     if (allocation == BudgetAllocation::kUniform) return 1.0;
@@ -241,13 +236,12 @@ Status ViewManager::Publish(const Database& db, double total_epsilon,
       st = FaultInjection::Instance().Check(faults::kViewPublish);
     }
     if (st.ok()) {
-      Result<Synopsis> syn =
-          Synopsis::Build(*view, db, policy_, eps_view, options_, rng);
-      if (syn.ok()) {
-        synopses_.emplace(view->signature(), std::move(syn).value());
+      Result<SynopsisStore::Entry> entry = BuildEntry(*view, db, eps_view, rng);
+      if (entry.ok()) {
+        store->Add(std::move(entry).value(), {});
         continue;
       }
-      st = syn.status();
+      st = entry.status();
     }
     if (!degraded) return st;
     // Per-view recovery: every output of the failed publication is
@@ -259,6 +253,7 @@ Status ViewManager::Publish(const Database& db, double total_epsilon,
     }
     failed_views_.emplace(view->signature(), std::move(st));
   }
+  published_ = std::move(store);
   return Status::OK();
 }
 
@@ -304,6 +299,9 @@ Result<ViewManager::RepublishOutcome> ViewManager::RepublishViews(
       generation_epsilon / static_cast<double>(outcome.affected.size());
 
   const std::string gen_tag = "gen" + std::to_string(generation);
+  // This generation's rebuilt entries, and the views it failed to rebuild.
+  std::map<std::string, SynopsisStore::Entry> rebuilt;
+  std::set<std::string> missed;
   for (const std::string& sig : outcome.affected) {
     const ViewDef& view = *views_[view_index_.at(sig)];
     auto fail_view = [&](Status st, bool spent) -> Status {
@@ -314,8 +312,8 @@ Result<ViewManager::RepublishOutcome> ViewManager::RepublishViews(
       outcome.failed.push_back(sig);
       // The old synopsis (when one exists) keeps serving, flagged
       // outdated from the first generation whose change it missed.
-      view_outdated_since_.emplace(sig, generation);
-      if (!synopses_.count(sig)) failed_views_[sig] = std::move(st);
+      missed.insert(sig);
+      if (published_->Find(sig) == nullptr) failed_views_[sig] = std::move(st);
       return Status::OK();
     };
     Status st = accountant_->Spend(outcome.epsilon_per_view,
@@ -328,24 +326,43 @@ Result<ViewManager::RepublishOutcome> ViewManager::RepublishViews(
       st = FaultInjection::Instance().Check(faults::kRepublishBuild);
     }
     if (st.ok()) {
-      Result<Synopsis> syn = Synopsis::Build(view, db, policy_,
-                                             outcome.epsilon_per_view,
-                                             options_, rng);
-      if (syn.ok()) {
-        synopses_.insert_or_assign(sig, std::move(syn).value());
+      Result<SynopsisStore::Entry> entry =
+          BuildEntry(view, db, outcome.epsilon_per_view, rng);
+      if (entry.ok()) {
+        rebuilt.emplace(sig, std::move(entry).value());
         outcome.rebuilt.push_back(sig);
         outcome.epsilon_spent += outcome.epsilon_per_view;
-        view_data_generation_[sig] = generation;
-        view_outdated_since_.erase(sig);
         // A view whose initial publication failed heals on a successful
         // rebuild: it now has a synopsis to serve.
         failed_views_.erase(sig);
         continue;
       }
-      st = syn.status();
+      st = entry.status();
     }
     VR_RETURN_NOT_OK(fail_view(std::move(st), /*spent=*/true));
   }
+
+  // The next generation, in registration order: rebuilt entries are
+  // fresh and stamped with this generation, every other entry is shared
+  // with the previous store together with its lifecycle stamps.
+  auto next = std::shared_ptr<SynopsisStore>(new SynopsisStore());
+  for (const auto& view : views_) {
+    const std::string& sig = view->signature();
+    SynopsisStore::ViewLifecycle cycle;
+    if (auto it = rebuilt.find(sig); it != rebuilt.end()) {
+      cycle.data_generation = generation;
+      next->Add(std::move(it->second), cycle);
+      continue;
+    }
+    auto old = published_->index_.find(sig);
+    if (old == published_->index_.end()) continue;
+    cycle = published_->lifecycle_.at(sig);
+    if (cycle.outdated_since == 0 && missed.count(sig)) {
+      cycle.outdated_since = generation;
+    }
+    next->Add(published_->entries_[old->second], cycle);
+  }
+  published_ = std::move(next);
   return outcome;
 }
 
@@ -375,40 +392,10 @@ const Status* ViewManager::BindingFailure(const BoundRewrittenQuery& q) const {
   return nullptr;
 }
 
-Result<double> ViewManager::AnswerScalar(const BoundQuery& q,
-                                         const ParamMap& params,
-                                         bool exact) const {
-  auto it = synopses_.find(q.view_signature);
-  if (it == synopses_.end()) {
-    auto failed = failed_views_.find(q.view_signature);
-    if (failed != failed_views_.end()) return failed->second;
-    return Status::NotFound("no synopsis published for view '" +
-                            q.view_signature + "'");
-  }
-  if (exact) return it->second.AnswerScalarExact(*q.cell_query, params);
-  return it->second.AnswerScalar(*q.cell_query, params);
-}
-
-Result<double> ViewManager::Answer(const BoundRewrittenQuery& q,
-                                   bool exact) const {
-  ParamMap params;
-  for (const auto& link : q.chain) {
-    VR_ASSIGN_OR_RETURN(double v, AnswerScalar(link.query, params, exact));
-    params[link.var] = Value::Double(v);
-  }
-  double total = 0;
-  for (const auto& term : q.terms) {
-    VR_ASSIGN_OR_RETURN(double v, AnswerScalar(term.query, params, exact));
-    total += term.coeff * v;
-  }
-  return total;
-}
-
 std::vector<Synopsis::BuildStats> ViewManager::BuildStatsList() const {
   std::vector<Synopsis::BuildStats> out;
-  for (const auto& [sig, syn] : synopses_) {
-    (void)sig;
-    out.push_back(syn.stats());
+  for (const SynopsisStore::Entry& entry : published_->entries()) {
+    out.push_back(entry.synopsis->stats());
   }
   return out;
 }

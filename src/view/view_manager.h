@@ -13,33 +13,11 @@
 #include "dp/budget.h"
 #include "exec/executor.h"
 #include "view/synopsis.h"
+#include "view/synopsis_store.h"
 #include "view/view_def.h"
 #include "view/view_matcher.h"
 
 namespace viewrewrite {
-
-/// A workload query bound to its view: the signature locates the synopsis,
-/// `cell_query` is the (AND-only) scalar aggregate evaluated against the
-/// synopsis cells.
-struct BoundQuery {
-  std::string view_signature;
-  SelectStmtPtr cell_query;
-};
-
-/// A fully bound rewritten query: chain links plus combination terms, each
-/// bound to a view.
-struct BoundRewrittenQuery {
-  struct Link {
-    std::string var;
-    BoundQuery query;
-  };
-  std::vector<Link> chain;
-  struct Term {
-    double coeff;
-    BoundQuery query;
-  };
-  std::vector<Term> terms;
-};
 
 /// How the total budget is split across views at publication time.
 /// kUniform is the paper's scheme; kByUsage is the extension the paper
@@ -51,11 +29,13 @@ enum class BudgetAllocation {
   kByUsage,
 };
 
-/// View generation + publication + query answering (§9's three modules
-/// behind one interface). Both ViewRewrite and the PrivateSQL baseline
-/// drive this class; they differ in how queries are rewritten and in which
+/// View generation + publication (§9's first two modules behind one
+/// interface). Both ViewRewrite and the PrivateSQL baseline drive this
+/// class; they differ in how queries are rewritten and in which
 /// predicates are baked into the view (the baseline bakes subquery-derived
-/// predicates, constants included, which is what makes its view count grow).
+/// predicates, constants included, which is what makes its view count
+/// grow). Each publication is an immutable SynopsisStore (published()),
+/// and every answer — engine, Republisher, QueryServer — reads one.
 class ViewManager {
  public:
   /// `bake` decides, per WHERE conjunct, whether the predicate becomes part
@@ -81,8 +61,11 @@ class ViewManager {
   const std::vector<std::unique_ptr<ViewDef>>& views() const { return views_; }
 
   /// Publishes one synopsis per view (sequential composition across
-  /// views), each view running the §9 pipeline. Must be called after all
-  /// registrations. `allocation` picks the budget split.
+  /// views), each view running the §9 pipeline, into published(). Must be
+  /// called after all registrations, and only once: a manager that
+  /// already holds a ledger fails with AlreadyExists before any spend
+  /// (later generations go through RepublishViews). `allocation` picks
+  /// the budget split.
   ///
   /// With `degraded` set, a view whose publication fails (injected fault,
   /// SVT abort, non-finite noise, ...) does not abort the batch: its
@@ -130,12 +113,15 @@ class ViewManager {
   /// cover the generation. A per-view rebuild failure refunds that slice
   /// ("refund:gen<N>:synopsis:<sig>"), keeps the old synopsis serving and
   /// records the view outdated-since this generation; a successful
-  /// rebuild replaces the synopsis, stamps view_data_generation() and
-  /// clears any outdated flag (a view that failed its initial publication
-  /// heals if its rebuild succeeds). Requires a prior Publish.
+  /// rebuild replaces the synopsis, stamps its data generation and clears
+  /// any outdated flag (a view that failed its initial publication heals
+  /// if its rebuild succeeds). Requires a prior Publish.
   ///
-  /// Not thread-safe against itself or concurrent readers of synopses();
-  /// the serve-layer Republisher serializes all lifecycle mutations.
+  /// The generation is a new store: a copy of published() sharing every
+  /// unchanged entry, with the rebuilt ones replaced, swapped in at the
+  /// end. Readers holding the previous store keep answering from it. Not
+  /// thread-safe against itself; the serve-layer Republisher serializes
+  /// all lifecycle mutations.
   Result<RepublishOutcome> RepublishViews(
       const Database& db, const std::vector<std::string>& changed_relations,
       double generation_epsilon, Random* rng, uint64_t generation);
@@ -158,50 +144,25 @@ class ViewManager {
   /// when every view it needs was published.
   const Status* BindingFailure(const BoundRewrittenQuery& q) const;
 
-  size_t NumPublished() const { return synopses_.size(); }
+  /// The current publication (empty before Publish). Its snapshot
+  /// metadata (schema fingerprint, ledger summary, generation info) is
+  /// stamped by SynopsisStore::FromManager.
+  const std::shared_ptr<const SynopsisStore>& published() const {
+    return published_;
+  }
+  size_t NumPublished() const { return published_->NumViews(); }
 
   /// Number of registered scalar queries (terms + chain links) answered
   /// by view `signature`.
   size_t ViewUsage(const std::string& signature) const;
-
-  /// Answers a bound scalar query from its synopsis. With `exact`, the
-  /// pre-noise cell totals are used (benchmark ground truth).
-  Result<double> AnswerScalar(const BoundQuery& q, const ParamMap& params,
-                              bool exact = false) const;
-
-  /// Answers a full bound rewritten query: chain links first (binding
-  /// parameters), then the signed combination.
-  Result<double> Answer(const BoundRewrittenQuery& q,
-                        bool exact = false) const;
-
-  /// Registers and answers a grouped aggregate in one step: `query` must
-  /// be a rewritten (subquery-free) statement whose GROUP BY columns are
-  /// view attributes. Returns one noisy row per group cell. Call after
-  /// Publish.
-  Result<ResultSet> AnswerGrouped(const BoundQuery& q, const ParamMap& params,
-                                  bool exact = false) const;
-
-  /// Row-carrying grouped answer: group keys, per-row noisy counts (the
-  /// suppression input) and per-column aggregate flags, with HAVING
-  /// evaluated post-noise. The serve layer and the chaos baselines both
-  /// consume this form.
-  Result<aggregate::GroupedData> AnswerGroupedData(const BoundQuery& q,
-                                                   const ParamMap& params,
-                                                   bool exact = false) const;
 
   /// Registration variant for grouped queries: group-by columns become
   /// view attributes alongside the filter columns.
   Result<BoundQuery> RegisterGrouped(const SelectStmt& query,
                                      const BakePredicate& bake);
 
-  /// Per-view build stats after Publish.
+  /// Per-view build stats of the current publication.
   std::vector<Synopsis::BuildStats> BuildStatsList() const;
-
-  /// Published synopses by view signature — the export hook the serve
-  /// layer snapshots into a persistable SynopsisStore.
-  const std::map<std::string, Synopsis>& synopses() const {
-    return synopses_;
-  }
 
   const BudgetAccountant* accountant() const { return accountant_.get(); }
 
@@ -214,31 +175,20 @@ class ViewManager {
   /// not owned and must outlive the manager.
   void AttachBudgetWal(BudgetWal* wal) { budget_wal_ = wal; }
 
-  // ---- Synopsis lifecycle metadata. ----------------------------------------
-
-  /// Generation whose rebuild last refreshed each view's cells (0 = the
-  /// initial publication; views never republished stay at 0).
-  const std::map<std::string, uint64_t>& view_data_generation() const {
-    return view_data_generation_;
-  }
-  /// First generation at which a view's base data changed without a
-  /// successful rebuild; erased again when a later rebuild succeeds. A
-  /// view present here is answerable but outdated.
-  const std::map<std::string, uint64_t>& view_outdated_since() const {
-    return view_outdated_since_;
-  }
-
  private:
+  /// Clones `view` and builds its synopsis against the clone.
+  Result<SynopsisStore::Entry> BuildEntry(const ViewDef& view,
+                                          const Database& db, double epsilon,
+                                          Random* rng) const;
+
   const Schema& schema_;
   PrivacyPolicy policy_;
   SynopsisOptions options_;
   std::vector<std::unique_ptr<ViewDef>> views_;
   std::map<std::string, size_t> view_index_;           // signature -> index
   std::map<std::string, size_t> view_usage_;           // signature -> #queries
-  std::map<std::string, Synopsis> synopses_;           // signature -> synopsis
   std::map<std::string, Status> failed_views_;         // signature -> failure
-  std::map<std::string, uint64_t> view_data_generation_;
-  std::map<std::string, uint64_t> view_outdated_since_;
+  std::shared_ptr<const SynopsisStore> published_{new SynopsisStore()};
   std::unique_ptr<BudgetAccountant> accountant_;
   BudgetWal* budget_wal_ = nullptr;
 };

@@ -17,6 +17,37 @@ namespace viewrewrite {
 /// view generation (ViewManager) and serve-time matching (SynopsisStore).
 using BakePredicate = std::function<bool(const Expr&)>;
 
+/// A workload query bound to its view: the signature locates the synopsis,
+/// `cell_query` is the (AND-only) scalar aggregate evaluated against the
+/// synopsis cells.
+struct BoundQuery {
+  std::string view_signature;
+  SelectStmtPtr cell_query;
+};
+
+/// A fully bound rewritten query: chain links plus combination terms, each
+/// bound to a view.
+struct BoundRewrittenQuery {
+  struct Link {
+    std::string var;
+    BoundQuery query;
+  };
+  std::vector<Link> chain;
+  struct Term {
+    double coeff;
+    BoundQuery query;
+  };
+  std::vector<Term> terms;
+
+  /// A grouped aggregate (GROUP BY) binds as one term with no chain; it
+  /// is answered row-wise (SynopsisStore::AnswerGrouped), not as a scalar.
+  bool IsGrouped() const {
+    return chain.empty() && terms.size() == 1 &&
+           terms[0].query.cell_query != nullptr &&
+           !terms[0].query.cell_query->group_by.empty();
+  }
+};
+
 /// The view-relevant shape of one scalar aggregate query: its view
 /// signature, the split of its WHERE into baked and cell conjuncts, and
 /// the attributes/measures the answering view must carry.

@@ -10,7 +10,7 @@
 #include "aggregate/suppression.h"
 #include "engine/viewrewrite_engine.h"
 #include "serve/query_server.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 #include "testing/test_db.h"
 
 namespace viewrewrite {

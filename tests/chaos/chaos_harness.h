@@ -55,7 +55,7 @@
 #include "serve/overload.h"
 #include "serve/query_server.h"
 #include "serve/republisher.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 #include "testing/test_db.h"
 
 namespace viewrewrite {
@@ -287,7 +287,7 @@ inline ChaosRunResult RunChaosSeed(uint64_t seed, ChaosConfig config = {}) {
   std::vector<double> baseline(workload.size(), 0);
   std::map<size_t, aggregate::GroupedData> grouped_baseline;
   for (size_t i = 0; i < workload.size(); ++i) {
-    if (engine.IsGrouped(i)) {
+    if (engine.bound(i).IsGrouped()) {
       is_grouped[i] = true;
       Result<aggregate::GroupedData> rows = engine.GroupedAnswer(i);
       if (rows.ok()) {

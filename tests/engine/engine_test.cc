@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+
 #include "datagen/tpch.h"
+#include "dp/budget_wal.h"
 #include "engine/private_sql_engine.h"
 #include "engine/viewrewrite_engine.h"
 #include "workload/workload.h"
@@ -197,6 +201,77 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
     }
   }
   EXPECT_EQ(run1, run2);
+}
+
+TEST_F(EngineTest, SecondPrepareFailsWithoutSpending) {
+  // A second Prepare on the same engine must not re-spend the budget
+  // through a fresh accountant: the publication is one-shot, and later
+  // generations go through RepublishChanged.
+  const std::string wal_path = ::testing::TempDir() + "second_prepare.wal";
+  std::remove(wal_path.c_str());
+  EngineOptions opts;
+  opts.epsilon = 1.0;
+  opts.budget_wal_path = wal_path;
+  auto workload = SmallWorkload(5, 20);
+  {
+    ViewRewriteEngine engine(*db_, PrivacyPolicy{"orders"}, opts);
+    ASSERT_TRUE(engine.Prepare(workload).ok());
+    std::vector<Result<double>> before;
+    for (size_t i = 0; i < workload.size(); ++i) {
+      before.push_back(engine.NoisyAnswer(i));
+    }
+
+    Status again = engine.Prepare(workload);
+    EXPECT_EQ(again.code(), StatusCode::kAlreadyExists) << again;
+    EXPECT_NEAR(engine.views().accountant()->spent(), 1.0, 1e-9);
+    EXPECT_NEAR(engine.stats().budget_spent_epsilon, 1.0, 1e-9);
+    for (size_t i = 0; i < workload.size(); ++i) {
+      Result<double> after = engine.NoisyAnswer(i);
+      ASSERT_EQ(after.ok(), before[i].ok()) << i;
+      if (after.ok()) {
+        EXPECT_EQ(*after, *before[i]) << i;
+      }
+    }
+  }
+  auto replayed = BudgetWal::Replay(wal_path);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(replayed->total, 1.0);
+  EXPECT_NEAR(replayed->spent, replayed->total, 1e-9);
+  std::remove(wal_path.c_str());
+}
+
+/// Both engines honour the same EngineOptions: a poisoned budget shows
+/// in the stats and the SQL limits apply at parse time.
+template <typename Engine>
+void ExpectEngineHonoursOptions(const Database& db,
+                                const std::vector<std::string>& workload) {
+  {
+    EngineOptions opts;
+    opts.epsilon = std::nan("");
+    Engine engine(db, PrivacyPolicy{"orders"}, opts);
+    (void)engine.Prepare(workload);
+    ASSERT_NE(engine.views().accountant(), nullptr);
+    EXPECT_TRUE(engine.views().accountant()->poisoned());
+    EXPECT_TRUE(engine.stats().budget_poisoned);
+  }
+  {
+    EngineOptions opts;
+    opts.limits.max_sql_bytes = 16;
+    Engine engine(db, PrivacyPolicy{"orders"}, opts);
+    EXPECT_FALSE(engine.Prepare(workload).ok());
+    ASSERT_EQ(engine.report().query_status.size(), workload.size());
+    for (const Status& st : engine.report().query_status) {
+      EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+    }
+  }
+}
+
+TEST_F(EngineTest, ViewRewriteHonoursBudgetAndLimitOptions) {
+  ExpectEngineHonoursOptions<ViewRewriteEngine>(*db_, SmallWorkload(1, 8));
+}
+
+TEST_F(EngineTest, PrivateSqlHonoursBudgetAndLimitOptions) {
+  ExpectEngineHonoursOptions<PrivateSqlEngine>(*db_, SmallWorkload(1, 8));
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include "common/fault_injection.h"
 #include "engine/viewrewrite_engine.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 #include "testing/test_db.h"
 
 namespace viewrewrite {

@@ -10,7 +10,7 @@
 #include "common/fault_injection.h"
 #include "serve/republisher.h"
 #include "serve/serve_test_util.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 
 namespace viewrewrite {
 namespace {

@@ -13,7 +13,7 @@
 
 #include "common/crc32.h"
 #include "common/limits.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 #include "testing/test_db.h"
 
 namespace viewrewrite {

@@ -11,7 +11,7 @@
 #include "common/fault_injection.h"
 #include "serve/query_server.h"
 #include "serve/serve_test_util.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 
 namespace viewrewrite {
 namespace {

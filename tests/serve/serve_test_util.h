@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "engine/viewrewrite_engine.h"
-#include "serve/synopsis_store.h"
+#include "view/synopsis_store.h"
 #include "testing/test_db.h"
 
 namespace viewrewrite {

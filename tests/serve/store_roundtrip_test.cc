@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -8,8 +9,8 @@
 #include "datagen/tpch.h"
 #include "engine/viewrewrite_engine.h"
 #include "rewrite/rewriter.h"
-#include "serve/synopsis_store.h"
 #include "sql/parser.h"
+#include "view/synopsis_store.h"
 #include "workload/workload.h"
 
 namespace viewrewrite {
@@ -74,6 +75,17 @@ void ExpectBitIdenticalRoundTrip(ViewRewriteEngine& engine,
     // engine answers in-process from the same synopses.
     EXPECT_EQ(*mem_answer, *load_answer) << workload[i];
     EXPECT_EQ(*engine_answer, *load_answer) << workload[i];
+
+    // The exact (pre-noise) cells travel too, and the engine's bindings
+    // answer against the loaded store: one answer path.
+    Result<double> engine_exact = engine.ExactViewAnswer(i);
+    ASSERT_TRUE(engine_exact.ok()) << engine_exact.status();
+    auto load_exact = loaded->Answer(*load_bound, {}, /*exact=*/true);
+    ASSERT_TRUE(load_exact.ok()) << load_exact.status();
+    EXPECT_EQ(*engine_exact, *load_exact) << workload[i];
+    auto engine_bound = loaded->Answer(engine.bound(i));
+    ASSERT_TRUE(engine_bound.ok()) << engine_bound.status();
+    EXPECT_EQ(*engine_answer, *engine_bound) << workload[i];
     ++answered;
   }
   EXPECT_GT(answered, 0u);
@@ -131,6 +143,78 @@ TEST(StoreRoundTripTest, LoadUnderDriftedSchemaIsRejected) {
   EXPECT_EQ(drifted.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(drifted.status().message().find("schema drift"),
             std::string::npos);
+}
+
+TEST(StoreRoundTripTest, SnapshotSharesThePublishedSynopses) {
+  TpchConfig config;
+  config.customers = 60;
+  config.parts = 40;
+  auto db = GenerateTpch(config);
+  ViewRewriteEngine engine(*db, PrivacyPolicy{"orders"}, EngineOptions{});
+  ASSERT_TRUE(engine.Prepare(SmallWorkload(1, 12)).ok());
+
+  std::shared_ptr<const SynopsisStore> published = engine.views().published();
+  ASSERT_NE(published, nullptr);
+  auto snapshot = SynopsisStore::FromManager(engine.views(), db->schema());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_EQ(snapshot->NumViews(), published->NumViews());
+  for (const SynopsisStore::Entry& entry : published->entries()) {
+    const std::string& sig = entry.view->signature();
+    EXPECT_EQ(snapshot->Find(sig), published->Find(sig)) << sig;
+    EXPECT_EQ(&snapshot->Find(sig)->view(), entry.view.get()) << sig;
+  }
+}
+
+TEST(StoreRoundTripTest, RepublishSharesUnchangedViewsAndOldSnapshotsHold) {
+  TpchConfig config;
+  config.customers = 60;
+  config.parts = 40;
+  auto db = GenerateTpch(config);
+  EngineOptions options;
+  options.lifetime_epsilon = 16.0;
+  ViewRewriteEngine engine(*db, PrivacyPolicy{"orders"}, options);
+  auto workload = SmallWorkload(1, 30);
+  ASSERT_TRUE(engine.Prepare(workload).ok());
+
+  std::shared_ptr<const SynopsisStore> before = engine.views().published();
+  auto snapshot = SynopsisStore::FromManager(engine.views(), db->schema());
+  ASSERT_TRUE(snapshot.ok());
+  std::vector<Result<double>> old_answers;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    old_answers.push_back(snapshot->Answer(engine.bound(i)));
+  }
+
+  auto outcome = engine.RepublishChanged({"customer"}, 1.0, 1);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_FALSE(outcome->rebuilt.empty());
+  std::shared_ptr<const SynopsisStore> after = engine.views().published();
+  ASSERT_NE(after, before);
+  ASSERT_EQ(after->NumViews(), before->NumViews());
+  size_t shared = 0;
+  for (const SynopsisStore::Entry& entry : after->entries()) {
+    const std::string& sig = entry.view->signature();
+    const bool rebuilt =
+        std::find(outcome->rebuilt.begin(), outcome->rebuilt.end(), sig) !=
+        outcome->rebuilt.end();
+    if (rebuilt) {
+      EXPECT_NE(after->Find(sig), before->Find(sig)) << sig;
+      EXPECT_EQ(after->lifecycle().at(sig).data_generation, 1u) << sig;
+    } else {
+      EXPECT_EQ(after->Find(sig), before->Find(sig)) << sig;
+      EXPECT_EQ(after->lifecycle().at(sig).data_generation, 0u) << sig;
+      ++shared;
+    }
+  }
+  EXPECT_GT(shared, 0u);
+
+  // The snapshot taken before the republish still holds the old cells.
+  for (size_t i = 0; i < workload.size(); ++i) {
+    Result<double> again = snapshot->Answer(engine.bound(i));
+    ASSERT_EQ(again.ok(), old_answers[i].ok()) << i;
+    if (again.ok()) {
+      EXPECT_EQ(*again, *old_answers[i]) << workload[i];
+    }
+  }
 }
 
 TEST(StoreRoundTripTest, FromManagerWithoutPublishFails) {

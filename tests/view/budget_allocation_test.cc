@@ -107,8 +107,9 @@ TEST_F(BudgetAllocationTest, ByUsageImprovesPopularViewAccuracy) {
                                 by_usage ? BudgetAllocation::kByUsage
                                          : BudgetAllocation::kUniform)
                       .ok());
-      auto noisy = manager_->Answer(last_bound_);
-      auto exact = manager_->Answer(last_bound_, /*exact=*/true);
+      auto noisy = manager_->published()->Answer(last_bound_);
+      auto exact = manager_->published()->Answer(last_bound_, {},
+                                                 /*exact=*/true);
       ASSERT_TRUE(noisy.ok() && exact.ok());
       double err = std::fabs(*noisy - *exact);
       (by_usage ? usage_err : uniform_err) += err;
@@ -127,8 +128,9 @@ TEST_F(BudgetAllocationTest, HierarchicalStrategyAnswersRangeQueries) {
            "o.o_totalprice < 192");
   Random rng(3);
   ASSERT_TRUE(manager_->Publish(*db_, 1e9, &rng).ok());
-  auto noisy = manager_->Answer(last_bound_);
-  auto exact = manager_->Answer(last_bound_, /*exact=*/true);
+  auto noisy = manager_->published()->Answer(last_bound_);
+  auto exact = manager_->published()->Answer(last_bound_, {},
+                                                 /*exact=*/true);
   ASSERT_TRUE(noisy.ok()) << noisy.status();
   ASSERT_TRUE(exact.ok());
   // Huge budget: the hierarchical range answer must match the truth.
@@ -146,8 +148,9 @@ TEST_F(BudgetAllocationTest, HierarchicalFallsBackOnNonRangePredicates) {
            "o.o_totalprice >= 224");
   Random rng(4);
   ASSERT_TRUE(manager_->Publish(*db_, 1e9, &rng).ok());
-  auto noisy = manager_->Answer(last_bound_);
-  auto exact = manager_->Answer(last_bound_, /*exact=*/true);
+  auto noisy = manager_->published()->Answer(last_bound_);
+  auto exact = manager_->published()->Answer(last_bound_, {},
+                                                 /*exact=*/true);
   ASSERT_TRUE(noisy.ok()) << noisy.status();
   EXPECT_NEAR(*noisy, *exact, 1e-3);
 }

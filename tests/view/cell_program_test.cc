@@ -486,7 +486,7 @@ TEST(CellProgramEdgeTest, ExtremumResolvesQualifiedColumnOnTwoAliasView) {
       {"MAX(o1.o_totalprice)", low}, {"MIN(o1.o_totalprice)", low}};
   for (const auto& [item, value] : expect) {
     auto q = Parse("SELECT " + item + " FROM v");
-    auto got = f.synopsis->AnswerScalarExact(*q, {});
+    auto got = f.synopsis->AnswerScalar(*q, {}, /*use_exact=*/true);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(*got, value) << item;
   }

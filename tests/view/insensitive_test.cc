@@ -30,8 +30,8 @@ class InsensitiveViewTest : public ::testing::Test {
     Random rng(seed);
     Status st = manager.Publish(*db_, /*eps=*/0.01, &rng);
     EXPECT_TRUE(st.ok()) << st;
-    auto noisy = manager.Answer(*bound);
-    auto exact = manager.Answer(*bound, /*exact=*/true);
+    auto noisy = manager.published()->Answer(*bound);
+    auto exact = manager.published()->Answer(*bound, {}, /*exact=*/true);
     EXPECT_TRUE(noisy.ok() && exact.ok());
     return std::fabs(*noisy - *exact);
   }

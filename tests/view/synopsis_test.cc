@@ -35,7 +35,7 @@ class SynopsisTest : public ::testing::Test {
     Random rng(seed);
     Status pub = manager.Publish(*db_, epsilon, &rng);
     EXPECT_TRUE(pub.ok()) << pub.ToString();
-    auto ans = manager.Answer(*bound);
+    auto ans = manager.published()->Answer(*bound);
     EXPECT_TRUE(ans.ok()) << ans.status();
     return ans.ok() ? *ans : -1e18;
   }

@@ -136,7 +136,7 @@ TEST_F(ViewManagerTest, AnswerBeforePublishFails) {
   ASSERT_TRUE(rq.ok());
   auto bound = manager_->RegisterRewritten(*rq, nullptr);
   ASSERT_TRUE(bound.ok());
-  EXPECT_FALSE(manager_->Answer(*bound).ok());
+  EXPECT_FALSE(manager_->published()->Answer(*bound).ok());
 }
 
 TEST_F(ViewManagerTest, ViewCountIndependentOfWorkloadSize) {
