@@ -1244,17 +1244,53 @@ void FlattenJoins(TableRefPtr ref, FlattenResult* out) {
   out->leaves.push_back(std::move(ref));
 }
 
-std::string LeafKey(const TableRef& ref) {
+/// A rendering that ranks table refs or operands, with the offset of its
+/// first slot-tagged literal (npos if none). The text before that offset
+/// is the same whatever values the statement's literals take.
+struct RankKey {
+  std::string text;
+  size_t first_slot = std::string::npos;
+};
+
+template <typename Node>
+void AppendRendering(const Node& node, RankKey* key) {
+  const size_t base = key->text.size();
+  size_t first = std::string::npos;
+  key->text += ToSql(node, [&first](const LiteralExpr& lit, size_t offset) {
+    if (lit.slot >= 0 && first == std::string::npos) first = offset;
+  });
+  if (key->first_slot == std::string::npos && first != std::string::npos) {
+    key->first_slot = base + first;
+  }
+}
+
+/// a < b, setting *ranks_slots when the outcome could depend on literal
+/// values: the texts agree up to the first slot of either.
+bool RankLess(const RankKey& a, const RankKey& b, bool* ranks_slots) {
+  const size_t n = std::min(a.text.size(), b.text.size());
+  size_t d = 0;
+  while (d < n && a.text[d] == b.text[d]) ++d;
+  if (ranks_slots != nullptr && d >= std::min(a.first_slot, b.first_slot)) {
+    *ranks_slots = true;
+  }
+  return a.text < b.text;
+}
+
+RankKey LeafKey(const TableRef& ref) {
+  RankKey key;
   if (ref.kind == TableRefKind::kBase) {
     const auto& b = static_cast<const BaseTableRef&>(ref);
-    return "0:" + b.name + ":" + b.alias;
+    key.text = "0:" + b.name + ":" + b.alias;
+    return key;
   }
-  return "1:" + ToSql(ref);
+  key.text = "1:";
+  AppendRendering(ref, &key);
+  return key;
 }
 
 }  // namespace
 
-Status Rewriter::CanonicalizeJoins(SelectStmt* stmt) const {
+Status Rewriter::CanonicalizeJoins(SelectStmt* stmt, bool* ranks_slots) const {
   if (stmt->from.empty()) return Status::OK();
 
   FlattenResult flat;
@@ -1265,14 +1301,16 @@ Status Rewriter::CanonicalizeJoins(SelectStmt* stmt) const {
   for (auto& leaf : flat.leaves) {
     if (leaf->kind == TableRefKind::kDerived) {
       VR_RETURN_NOT_OK(CanonicalizeJoins(
-          static_cast<DerivedTableRef*>(leaf.get())->subquery.get()));
+          static_cast<DerivedTableRef*>(leaf.get())->subquery.get(),
+          ranks_slots));
     }
   }
   for (auto& [ref, cond] : flat.left_attachments) {
     (void)cond;
     if (ref->kind == TableRefKind::kDerived) {
       VR_RETURN_NOT_OK(CanonicalizeJoins(
-          static_cast<DerivedTableRef*>(ref.get())->subquery.get()));
+          static_cast<DerivedTableRef*>(ref.get())->subquery.get(),
+          ranks_slots));
     }
   }
 
@@ -1328,8 +1366,11 @@ Status Rewriter::CanonicalizeJoins(SelectStmt* stmt) const {
   for (ExprPtr& c : flat.cond_pool) {
     if (c->kind == ExprKind::kBinary) {
       auto* b = static_cast<BinaryExpr*>(c.get());
-      if (b->op == BinaryOp::kEq && ToSql(*b->left) > ToSql(*b->right)) {
-        std::swap(b->left, b->right);
+      if (b->op == BinaryOp::kEq) {
+        RankKey l, r;
+        AppendRendering(*b->left, &l);
+        AppendRendering(*b->right, &r);
+        if (RankLess(r, l, ranks_slots)) std::swap(b->left, b->right);
       }
     }
     PoolCond pc;
@@ -1358,10 +1399,13 @@ Status Rewriter::CanonicalizeJoins(SelectStmt* stmt) const {
   }
 
   // Deterministic leaf order.
+  std::vector<RankKey> leaf_keys;
+  leaf_keys.reserve(flat.leaves.size());
+  for (const auto& leaf : flat.leaves) leaf_keys.push_back(LeafKey(*leaf));
   std::vector<size_t> order(flat.leaves.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    return LeafKey(*flat.leaves[x]) < LeafKey(*flat.leaves[y]);
+    return RankLess(leaf_keys[x], leaf_keys[y], ranks_slots);
   });
 
   // Greedy left-deep construction: start from the first leaf in canonical
@@ -1423,15 +1467,21 @@ Status Rewriter::CanonicalizeJoins(SelectStmt* stmt) const {
   }
 
   // Attach LEFT JOINs in deterministic order.
-  std::sort(flat.left_attachments.begin(), flat.left_attachments.end(),
-            [](const auto& x, const auto& y) {
-              std::string kx = ToSql(*x.first) +
-                               (x.second ? ToSql(*x.second) : "");
-              std::string ky = ToSql(*y.first) +
-                               (y.second ? ToSql(*y.second) : "");
-              return kx < ky;
+  std::vector<RankKey> attachment_keys(flat.left_attachments.size());
+  std::vector<size_t> attachment_order(flat.left_attachments.size());
+  for (size_t i = 0; i < attachment_keys.size(); ++i) {
+    const auto& [ref, cond] = flat.left_attachments[i];
+    AppendRendering(*ref, &attachment_keys[i]);
+    if (cond) AppendRendering(*cond, &attachment_keys[i]);
+    attachment_order[i] = i;
+  }
+  std::sort(attachment_order.begin(), attachment_order.end(),
+            [&](size_t x, size_t y) {
+              return RankLess(attachment_keys[x], attachment_keys[y],
+                              ranks_slots);
             });
-  for (auto& [ref, cond] : flat.left_attachments) {
+  for (size_t i : attachment_order) {
+    auto& [ref, cond] = flat.left_attachments[i];
     tree = std::make_unique<JoinTableRef>(JoinType::kLeft, std::move(tree),
                                           std::move(ref), std::move(cond));
   }
@@ -1489,7 +1539,8 @@ Result<QueryCombination> Rewriter::SplitDisjunction(SelectStmtPtr stmt) const {
   return InclusionExclusion(*stmt, dnf, options_.limits.max_ie_terms);
 }
 
-Result<RewrittenQuery> Rewriter::Rewrite(const SelectStmt& query) const {
+Result<RewrittenQuery> Rewriter::Rewrite(const SelectStmt& query,
+                                         bool* ranks_slots) const {
   VR_FAULT_POINT(faults::kRewrite);
   SelectStmtPtr stmt = query.Clone();
   RewrittenQuery out;
@@ -1504,7 +1555,7 @@ Result<RewrittenQuery> Rewriter::Rewrite(const SelectStmt& query) const {
   if (options_.enable_merge) {
     VR_RETURN_NOT_OK(MergeDerivedTables(stmt.get()));
   }
-  VR_RETURN_NOT_OK(CanonicalizeJoins(stmt.get()));
+  VR_RETURN_NOT_OK(CanonicalizeJoins(stmt.get(), ranks_slots));
 
   // Chain links go through the same normalization so that their FROM
   // structures define stable views too.
@@ -1515,7 +1566,7 @@ Result<RewrittenQuery> Rewriter::Rewrite(const SelectStmt& query) const {
     if (options_.enable_merge) {
       VR_RETURN_NOT_OK(MergeDerivedTables(link.query.get()));
     }
-    VR_RETURN_NOT_OK(CanonicalizeJoins(link.query.get()));
+    VR_RETURN_NOT_OK(CanonicalizeJoins(link.query.get(), ranks_slots));
   }
 
   VR_ASSIGN_OR_RETURN(out.combination, SplitDisjunction(std::move(stmt)));

@@ -54,8 +54,13 @@ class Rewriter {
   explicit Rewriter(const Schema& schema, RewriteOptions options = {})
       : schema_(schema), options_(options) {}
 
-  /// Runs the full pipeline on `query`.
-  Result<RewrittenQuery> Rewrite(const SelectStmt& query) const;
+  /// Runs the full pipeline on `query`. If `ranks_slots` is non-null it
+  /// is set when an ordering decision (CanonicalizeJoins' sorts and
+  /// equality-operand swap) compared two renderings at a slot-tagged
+  /// literal: other values of those literals could order the output
+  /// differently, so it must not serve as a plan-cache template.
+  Result<RewrittenQuery> Rewrite(const SelectStmt& query,
+                                 bool* ranks_slots = nullptr) const;
 
   // Individual stages, exposed for unit tests and ablations. All stages
   // mutate `stmt` in place and are semantics-preserving.
@@ -83,7 +88,8 @@ class Rewriter {
   /// equi-join conditions pulled from WHERE into ON clauses. Gives every
   /// structurally identical query an identical FROM rendering (the view
   /// signature) and enables hash joins in the executor.
-  Status CanonicalizeJoins(SelectStmt* stmt) const;
+  Status CanonicalizeJoins(SelectStmt* stmt,
+                           bool* ranks_slots = nullptr) const;
 
   /// Rules 6-7: splits a scalar aggregate query with OR filters into an
   /// inclusion-exclusion combination. Queries without OR yield one term.

@@ -630,6 +630,31 @@ void QueryServer::Process(Task task) {
   FinishFlight(flight, *out);
 }
 
+Result<RewrittenQuery> QueryServer::PlanQuery(const Flight& flight,
+                                              const std::string& sql) {
+  PlanCache::Probe probe = plan_cache_.Lookup(sql, options_.limits);
+  if (probe.outcome == PlanCache::Outcome::kHit) {
+    counters_.Add(ServeCounter::kPlanCacheHits);
+    VR_FAULT_POINT(faults::kParse);
+    VR_FAULT_POINT(faults::kRewrite);
+    return std::move(probe.plan);
+  }
+  counters_.Add(probe.outcome == PlanCache::Outcome::kMiss
+                    ? ServeCounter::kPlanCacheMisses
+                    : ServeCounter::kPlanCacheUncacheable);
+  std::vector<SlotConversion> slots;
+  VR_ASSIGN_OR_RETURN(SelectStmtPtr stmt,
+                      ParseSelect(sql, options_.limits, &slots));
+  if (FlightDeadlineExpired(flight)) {
+    return Status::DeadlineExceeded("request deadline expired after parse");
+  }
+  bool ranks_slots = false;
+  VR_ASSIGN_OR_RETURN(RewrittenQuery rq,
+                      rewriter_.Rewrite(*stmt, &ranks_slots));
+  plan_cache_.Insert(sql, probe, slots, rq, ranks_slots);
+  return rq;
+}
+
 std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
     const std::shared_ptr<Flight>& flight, const StoreSnapshot& snap,
     const std::string& sql, const ParamMap& params,
@@ -642,13 +667,7 @@ std::optional<QueryServer::FlightOutcome> QueryServer::ComputeAnswer(
     return FlightOutcome{
         Status::DeadlineExceeded("request deadline expired before parse")};
   }
-  Result<SelectStmtPtr> stmt = ParseSelect(sql, options_.limits);
-  if (!stmt.ok()) return FlightOutcome{stmt.status()};
-  if (FlightDeadlineExpired(*flight)) {
-    return FlightOutcome{
-        Status::DeadlineExceeded("request deadline expired after parse")};
-  }
-  Result<RewrittenQuery> rq = rewriter_.Rewrite(**stmt);
+  Result<RewrittenQuery> rq = PlanQuery(*flight, sql);
   if (!rq.ok()) return FlightOutcome{rq.status()};
   if (FlightDeadlineExpired(*flight)) {
     return FlightOutcome{
@@ -993,6 +1012,10 @@ ServeStats QueryServer::stats() const {
   s.batch_deduped = counters_.Total(ServeCounter::kBatchDeduped);
   s.grouped_queries = counters_.Total(ServeCounter::kGroupedQueries);
   s.suppressed_groups = counters_.Total(ServeCounter::kSuppressedGroups);
+  s.plan_cache_hits = counters_.Total(ServeCounter::kPlanCacheHits);
+  s.plan_cache_misses = counters_.Total(ServeCounter::kPlanCacheMisses);
+  s.plan_cache_uncacheable =
+      counters_.Total(ServeCounter::kPlanCacheUncacheable);
   if (cache_) {
     s.cache_hits = cache_->hits();
     s.cache_misses = cache_->misses();

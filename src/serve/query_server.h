@@ -20,6 +20,7 @@
 #include "common/deadline.h"
 #include "common/retry.h"
 #include "exec/executor.h"
+#include "rewrite/plan_cache.h"
 #include "rewrite/rewriter.h"
 #include "serve/answer_cache.h"
 #include "serve/overload.h"
@@ -193,6 +194,16 @@ using ServedResult = ServedAnswer;
 /// - **canonical stage** (after rewrite): a flight that discovers a
 ///   canonical-equal flight already registered (textual variants that
 ///   rewrite identically) merges into it and its waiters move over.
+///
+/// ## Plan cache
+///
+/// A leader that reaches parse first consults the PlanCache
+/// (rewrite/plan_cache.h): texts that differ only in their constants
+/// share one parsed-and-rewritten shape, re-instantiated with each text's
+/// literals instead of parsed and rewritten again. A hit still passes the
+/// parse and rewrite fault points, and everything after rewrite runs as
+/// on the full path. ServeStats counts hits, misses and uncacheable
+/// shapes.
 ///
 /// Flight keys include the store epoch: a request admitted after a hot
 /// reload starts a fresh flight against the new bundle rather than
@@ -424,6 +435,9 @@ class QueryServer {
   /// Full request pipeline for one task (plus followers): cache
   /// short-circuit, flight join-or-lead, compute, resolve.
   void Process(Task task);
+  /// Parse + rewrite of `sql`, through the plan cache.
+  Result<RewrittenQuery> PlanQuery(const Flight& flight,
+                                   const std::string& sql);
   /// Leader computation: parse → rewrite → canonical coalesce/cache →
   /// breaker/retry answer loop. Returns nullopt when this flight merged
   /// into a canonical-equal one (its waiters moved over; nothing to
@@ -457,6 +471,7 @@ class QueryServer {
   const Schema& schema_;
   ServeOptions options_;
   Rewriter rewriter_;
+  PlanCache plan_cache_;
   std::unique_ptr<AnswerCache> cache_;  // null when disabled
   CircuitBreaker answer_breaker_;
   CircuitBreaker store_breaker_;

@@ -51,6 +51,9 @@ std::ostream& operator<<(std::ostream& os, const ServeStats& s) {
      << " evictions=" << s.cache_evictions << " stripes=" << s.cache_stripes;
   os << " | grouped: queries=" << s.grouped_queries
      << " suppressed_groups=" << s.suppressed_groups;
+  os << " | plan_cache: hits=" << s.plan_cache_hits
+     << " misses=" << s.plan_cache_misses
+     << " uncacheable=" << s.plan_cache_uncacheable;
   os << " | answer_seconds=" << s.answer_seconds;
   return os;
 }

@@ -107,6 +107,19 @@ struct ServeStats {
                                    // suppressed (summed across grouped
                                    // computations)
 
+  // ---- Plan cache (rewrite/plan_cache.h). ----------------------------------
+  // Every leader computation that reaches parse consults the plan cache
+  // exactly once, so
+  //   plan_cache_hits + plan_cache_misses + plan_cache_uncacheable
+  //     == leader computations that reached parse.
+  uint64_t plan_cache_hits = 0;    // rewrites re-instantiated from a cached
+                                   // shape (no parse, no rewrite)
+  uint64_t plan_cache_misses = 0;  // shapes not cached yet: full parse and
+                                   // rewrite, then stored if they succeed
+  uint64_t plan_cache_uncacheable = 0;  // full path, nothing stored: the
+                                        // shape is uncacheable or this
+                                        // text's literals cannot key it
+
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;  // LRU evictions across all stripes
@@ -154,6 +167,9 @@ enum class ServeCounter : size_t {
   kShedHopeless,
   kShedDisplaced,
   kBrownoutServed,
+  kPlanCacheHits,
+  kPlanCacheMisses,
+  kPlanCacheUncacheable,
   kNumCounters,  // sentinel
 };
 

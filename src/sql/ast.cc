@@ -66,28 +66,34 @@ bool FuncCallExpr::IsAggregate() const {
 
 // Clone implementations ------------------------------------------------------
 
-ExprPtr LiteralExpr::Clone() const {
-  return std::make_unique<LiteralExpr>(value);
+ExprPtr LiteralExpr::CloneWith(const SlotValues* slots) const {
+  if (slots != nullptr && slot >= 0) {
+    return std::make_unique<LiteralExpr>((*slots)[slot], slot);
+  }
+  return std::make_unique<LiteralExpr>(value, slot);
 }
 
-ExprPtr ColumnRefExpr::Clone() const {
+ExprPtr ColumnRefExpr::CloneWith(const SlotValues*) const {
   return std::make_unique<ColumnRefExpr>(table, column);
 }
 
-ExprPtr StarExpr::Clone() const { return std::make_unique<StarExpr>(); }
-
-ExprPtr BinaryExpr::Clone() const {
-  return std::make_unique<BinaryExpr>(op, left->Clone(), right->Clone());
+ExprPtr StarExpr::CloneWith(const SlotValues*) const {
+  return std::make_unique<StarExpr>();
 }
 
-ExprPtr UnaryExpr::Clone() const {
-  return std::make_unique<UnaryExpr>(op, operand->Clone());
+ExprPtr BinaryExpr::CloneWith(const SlotValues* slots) const {
+  return std::make_unique<BinaryExpr>(op, left->CloneWith(slots),
+                                      right->CloneWith(slots));
 }
 
-ExprPtr FuncCallExpr::Clone() const {
+ExprPtr UnaryExpr::CloneWith(const SlotValues* slots) const {
+  return std::make_unique<UnaryExpr>(op, operand->CloneWith(slots));
+}
+
+ExprPtr FuncCallExpr::CloneWith(const SlotValues* slots) const {
   std::vector<ExprPtr> cloned;
   cloned.reserve(args.size());
-  for (const auto& a : args) cloned.push_back(a->Clone());
+  for (const auto& a : args) cloned.push_back(a->CloneWith(slots));
   return std::make_unique<FuncCallExpr>(name, std::move(cloned), distinct);
 }
 
@@ -95,8 +101,8 @@ ScalarSubqueryExpr::ScalarSubqueryExpr(SelectStmtPtr q)
     : Expr(ExprKind::kScalarSubquery), subquery(std::move(q)) {}
 ScalarSubqueryExpr::~ScalarSubqueryExpr() = default;
 
-ExprPtr ScalarSubqueryExpr::Clone() const {
-  return std::make_unique<ScalarSubqueryExpr>(subquery->Clone());
+ExprPtr ScalarSubqueryExpr::CloneWith(const SlotValues* slots) const {
+  return std::make_unique<ScalarSubqueryExpr>(subquery->Clone(slots));
 }
 
 InExpr::InExpr(ExprPtr l, SelectStmtPtr q, bool neg)
@@ -107,22 +113,24 @@ InExpr::InExpr(ExprPtr l, std::vector<ExprPtr> list, bool neg)
       value_list(std::move(list)), negated(neg) {}
 InExpr::~InExpr() = default;
 
-ExprPtr InExpr::Clone() const {
+ExprPtr InExpr::CloneWith(const SlotValues* slots) const {
   if (subquery) {
-    return std::make_unique<InExpr>(lhs->Clone(), subquery->Clone(), negated);
+    return std::make_unique<InExpr>(lhs->CloneWith(slots),
+                                    subquery->Clone(slots), negated);
   }
   std::vector<ExprPtr> cloned;
   cloned.reserve(value_list.size());
-  for (const auto& v : value_list) cloned.push_back(v->Clone());
-  return std::make_unique<InExpr>(lhs->Clone(), std::move(cloned), negated);
+  for (const auto& v : value_list) cloned.push_back(v->CloneWith(slots));
+  return std::make_unique<InExpr>(lhs->CloneWith(slots), std::move(cloned),
+                                  negated);
 }
 
 ExistsExpr::ExistsExpr(SelectStmtPtr q, bool neg)
     : Expr(ExprKind::kExists), subquery(std::move(q)), negated(neg) {}
 ExistsExpr::~ExistsExpr() = default;
 
-ExprPtr ExistsExpr::Clone() const {
-  return std::make_unique<ExistsExpr>(subquery->Clone(), negated);
+ExprPtr ExistsExpr::CloneWith(const SlotValues* slots) const {
+  return std::make_unique<ExistsExpr>(subquery->Clone(slots), negated);
 }
 
 QuantifiedCmpExpr::QuantifiedCmpExpr(ExprPtr l, BinaryOp o, Quantifier q,
@@ -131,14 +139,16 @@ QuantifiedCmpExpr::QuantifiedCmpExpr(ExprPtr l, BinaryOp o, Quantifier q,
       subquery(std::move(sq)) {}
 QuantifiedCmpExpr::~QuantifiedCmpExpr() = default;
 
-ExprPtr QuantifiedCmpExpr::Clone() const {
-  return std::make_unique<QuantifiedCmpExpr>(lhs->Clone(), op, quantifier,
-                                             subquery->Clone());
+ExprPtr QuantifiedCmpExpr::CloneWith(const SlotValues* slots) const {
+  return std::make_unique<QuantifiedCmpExpr>(
+      lhs->CloneWith(slots), op, quantifier, subquery->Clone(slots));
 }
 
-ExprPtr ParamExpr::Clone() const { return std::make_unique<ParamExpr>(name); }
+ExprPtr ParamExpr::CloneWith(const SlotValues*) const {
+  return std::make_unique<ParamExpr>(name);
+}
 
-TableRefPtr BaseTableRef::Clone() const {
+TableRefPtr BaseTableRef::CloneWith(const SlotValues*) const {
   return std::make_unique<BaseTableRef>(name, alias);
 }
 
@@ -147,83 +157,84 @@ DerivedTableRef::DerivedTableRef(SelectStmtPtr q, std::string a)
       alias(std::move(a)) {}
 DerivedTableRef::~DerivedTableRef() = default;
 
-TableRefPtr DerivedTableRef::Clone() const {
-  return std::make_unique<DerivedTableRef>(subquery->Clone(), alias);
+TableRefPtr DerivedTableRef::CloneWith(const SlotValues* slots) const {
+  return std::make_unique<DerivedTableRef>(subquery->Clone(slots), alias);
 }
 
-TableRefPtr JoinTableRef::Clone() const {
+TableRefPtr JoinTableRef::CloneWith(const SlotValues* slots) const {
   return std::make_unique<JoinTableRef>(
-      join_type, left->Clone(), right->Clone(),
-      condition ? condition->Clone() : nullptr);
+      join_type, left->CloneWith(slots), right->CloneWith(slots),
+      condition ? condition->CloneWith(slots) : nullptr);
 }
 
-SelectItem SelectItem::Clone() const {
+SelectItem SelectItem::Clone(const SlotValues* slots) const {
   SelectItem out;
-  out.expr = expr ? expr->Clone() : nullptr;
+  out.expr = expr ? expr->CloneWith(slots) : nullptr;
   out.alias = alias;
   out.is_star = is_star;
   return out;
 }
 
-WithItem WithItem::Clone() const {
+WithItem WithItem::Clone(const SlotValues* slots) const {
   WithItem out;
   out.name = name;
-  out.query = query->Clone();
+  out.query = query->Clone(slots);
   return out;
 }
 
-OrderItem OrderItem::Clone() const {
+OrderItem OrderItem::Clone(const SlotValues* slots) const {
   OrderItem out;
-  out.expr = expr->Clone();
+  out.expr = expr->CloneWith(slots);
   out.descending = descending;
   return out;
 }
 
-SelectStmtPtr SelectStmt::Clone() const {
+SelectStmtPtr SelectStmt::Clone(const SlotValues* slots) const {
   auto out = std::make_unique<SelectStmt>();
   out->with.reserve(with.size());
-  for (const auto& w : with) out->with.push_back(w.Clone());
+  for (const auto& w : with) out->with.push_back(w.Clone(slots));
   out->distinct = distinct;
   out->items.reserve(items.size());
-  for (const auto& it : items) out->items.push_back(it.Clone());
+  for (const auto& it : items) out->items.push_back(it.Clone(slots));
   out->from.reserve(from.size());
-  for (const auto& f : from) out->from.push_back(f->Clone());
-  out->where = where ? where->Clone() : nullptr;
+  for (const auto& f : from) out->from.push_back(f->CloneWith(slots));
+  out->where = where ? where->CloneWith(slots) : nullptr;
   out->group_by.reserve(group_by.size());
-  for (const auto& g : group_by) out->group_by.push_back(g->Clone());
-  out->having = having ? having->Clone() : nullptr;
+  for (const auto& g : group_by) out->group_by.push_back(g->CloneWith(slots));
+  out->having = having ? having->CloneWith(slots) : nullptr;
   out->order_by.reserve(order_by.size());
-  for (const auto& o : order_by) out->order_by.push_back(o.Clone());
+  for (const auto& o : order_by) out->order_by.push_back(o.Clone(slots));
   out->limit = limit;
   return out;
 }
 
-ChainLink ChainLink::Clone() const {
+ChainLink ChainLink::Clone(const SlotValues* slots) const {
   ChainLink out;
   out.var = var;
-  out.query = query->Clone();
+  out.query = query->Clone(slots);
   return out;
 }
 
-QueryCombination::Term QueryCombination::Term::Clone() const {
+QueryCombination::Term QueryCombination::Term::Clone(
+    const SlotValues* slots) const {
   Term out;
   out.coeff = coeff;
-  out.query = query->Clone();
+  out.query = query->Clone(slots);
   return out;
 }
 
-QueryCombination QueryCombination::Clone() const {
+QueryCombination QueryCombination::Clone(const SlotValues* slots) const {
   QueryCombination out;
   out.terms.reserve(terms.size());
-  for (const auto& t : terms) out.terms.push_back(t.Clone());
+  for (const auto& t : terms) out.terms.push_back(t.Clone(slots));
   return out;
 }
 
-RewrittenQuery RewrittenQuery::Clone() const {
+RewrittenQuery RewrittenQuery::Clone(const SlotValues* slots) const {
   RewrittenQuery out;
   out.chain.reserve(chain.size());
-  for (const auto& l : chain) out.chain.push_back(l.Clone());
-  out.combination = combination.Clone();
+  for (const auto& l : chain) out.chain.push_back(l.Clone(slots));
+  out.combination = combination.Clone(slots);
   return out;
 }
 

@@ -51,21 +51,33 @@ BinaryOp NegateComparison(BinaryOp op);
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
+/// Literal values indexed by slot (LiteralExpr::slot), for CloneWith.
+using SlotValues = std::vector<Value>;
+
 /// Base class for all expression nodes. Nodes own their children through
 /// unique_ptr; `Clone()` performs a deep copy (the rewriter duplicates
 /// subtrees when splitting queries).
 struct Expr {
   explicit Expr(ExprKind k) : kind(k) {}
   virtual ~Expr() = default;
-  virtual ExprPtr Clone() const = 0;
+  ExprPtr Clone() const { return CloneWith(nullptr); }
+  /// Deep copy in which, when `slots` is non-null, every slot-tagged
+  /// literal takes the value `(*slots)[slot]` (plan-cache instantiation).
+  virtual ExprPtr CloneWith(const SlotValues* slots) const = 0;
 
   ExprKind kind;
 };
 
 struct LiteralExpr : Expr {
-  explicit LiteralExpr(Value v) : Expr(ExprKind::kLiteral), value(std::move(v)) {}
-  ExprPtr Clone() const override;
+  explicit LiteralExpr(Value v, int32_t s = -1)
+      : Expr(ExprKind::kLiteral), slot(s), value(std::move(v)) {}
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
+  /// Index of the source literal token this value came from (its position
+  /// among the statement's integer, float and string tokens), or -1 for a
+  /// fixed constant: TRUE, FALSE, NULL, or one the rewriter made. Declared
+  /// first so it fills Expr's tail padding instead of growing the node.
+  int32_t slot = -1;
   Value value;
 };
 
@@ -74,7 +86,7 @@ struct ColumnRefExpr : Expr {
       : Expr(ExprKind::kColumnRef),
         table(std::move(tbl)),
         column(std::move(col)) {}
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   std::string table;   // qualifier; empty if unqualified
   std::string column;
@@ -87,13 +99,13 @@ struct ColumnRefExpr : Expr {
 
 struct StarExpr : Expr {
   StarExpr() : Expr(ExprKind::kStar) {}
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 };
 
 struct BinaryExpr : Expr {
   BinaryExpr(BinaryOp o, ExprPtr l, ExprPtr r)
       : Expr(ExprKind::kBinary), op(o), left(std::move(l)), right(std::move(r)) {}
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   BinaryOp op;
   ExprPtr left;
@@ -103,7 +115,7 @@ struct BinaryExpr : Expr {
 struct UnaryExpr : Expr {
   UnaryExpr(UnaryOp o, ExprPtr e)
       : Expr(ExprKind::kUnary), op(o), operand(std::move(e)) {}
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   UnaryOp op;
   ExprPtr operand;
@@ -117,7 +129,7 @@ struct FuncCallExpr : Expr {
         name(std::move(fn)),
         args(std::move(a)),
         distinct(dist) {}
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   std::string name;
   std::vector<ExprPtr> args;
@@ -129,7 +141,7 @@ struct FuncCallExpr : Expr {
 struct ScalarSubqueryExpr : Expr {
   explicit ScalarSubqueryExpr(SelectStmtPtr q);
   ~ScalarSubqueryExpr() override;
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   SelectStmtPtr subquery;
 };
@@ -139,7 +151,7 @@ struct InExpr : Expr {
   InExpr(ExprPtr l, SelectStmtPtr q, bool neg);
   InExpr(ExprPtr l, std::vector<ExprPtr> list, bool neg);
   ~InExpr() override;
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   ExprPtr lhs;
   SelectStmtPtr subquery;        // nullptr when list form
@@ -150,7 +162,7 @@ struct InExpr : Expr {
 struct ExistsExpr : Expr {
   ExistsExpr(SelectStmtPtr q, bool neg);
   ~ExistsExpr() override;
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   SelectStmtPtr subquery;
   bool negated;
@@ -160,7 +172,7 @@ struct ExistsExpr : Expr {
 struct QuantifiedCmpExpr : Expr {
   QuantifiedCmpExpr(ExprPtr l, BinaryOp o, Quantifier q, SelectStmtPtr sq);
   ~QuantifiedCmpExpr() override;
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   ExprPtr lhs;
   BinaryOp op;  // comparison op
@@ -171,7 +183,7 @@ struct QuantifiedCmpExpr : Expr {
 /// `$name` — a scalar parameter bound by a chained-query link (Rule 15).
 struct ParamExpr : Expr {
   explicit ParamExpr(std::string n) : Expr(ExprKind::kParam), name(std::move(n)) {}
-  ExprPtr Clone() const override;
+  ExprPtr CloneWith(const SlotValues* slots) const override;
 
   std::string name;
 };
@@ -189,7 +201,8 @@ using TableRefPtr = std::unique_ptr<TableRef>;
 struct TableRef {
   explicit TableRef(TableRefKind k) : kind(k) {}
   virtual ~TableRef() = default;
-  virtual TableRefPtr Clone() const = 0;
+  TableRefPtr Clone() const { return CloneWith(nullptr); }
+  virtual TableRefPtr CloneWith(const SlotValues* slots) const = 0;
 
   TableRefKind kind;
 };
@@ -197,7 +210,7 @@ struct TableRef {
 struct BaseTableRef : TableRef {
   BaseTableRef(std::string n, std::string a)
       : TableRef(TableRefKind::kBase), name(std::move(n)), alias(std::move(a)) {}
-  TableRefPtr Clone() const override;
+  TableRefPtr CloneWith(const SlotValues* slots) const override;
 
   std::string name;
   std::string alias;  // empty if none; binding name is alias-or-name
@@ -208,7 +221,7 @@ struct BaseTableRef : TableRef {
 struct DerivedTableRef : TableRef {
   DerivedTableRef(SelectStmtPtr q, std::string a);
   ~DerivedTableRef() override;
-  TableRefPtr Clone() const override;
+  TableRefPtr CloneWith(const SlotValues* slots) const override;
 
   SelectStmtPtr subquery;
   std::string alias;  // required by SQL for derived tables
@@ -221,7 +234,7 @@ struct JoinTableRef : TableRef {
         left(std::move(l)),
         right(std::move(r)),
         condition(std::move(cond)) {}
-  TableRefPtr Clone() const override;
+  TableRefPtr CloneWith(const SlotValues* slots) const override;
 
   JoinType join_type;
   TableRefPtr left;
@@ -235,14 +248,14 @@ struct SelectItem {
   std::string alias;   // empty if none
   bool is_star = false;
 
-  SelectItem Clone() const;
+  SelectItem Clone(const SlotValues* slots = nullptr) const;
 };
 
 struct WithItem {
   std::string name;
   SelectStmtPtr query;
 
-  WithItem Clone() const;
+  WithItem Clone(const SlotValues* slots = nullptr) const;
 };
 
 /// One ORDER BY key: an output column (by alias/name or 1-based
@@ -251,7 +264,7 @@ struct OrderItem {
   ExprPtr expr;
   bool descending = false;
 
-  OrderItem Clone() const;
+  OrderItem Clone(const SlotValues* slots = nullptr) const;
 };
 
 /// A (possibly nested) SELECT statement. Field order mirrors SQL clause
@@ -261,7 +274,7 @@ struct SelectStmt {
   SelectStmt(const SelectStmt&) = delete;
   SelectStmt& operator=(const SelectStmt&) = delete;
 
-  SelectStmtPtr Clone() const;
+  SelectStmtPtr Clone(const SlotValues* slots = nullptr) const;
 
   std::vector<WithItem> with;
   bool distinct = false;
@@ -283,7 +296,7 @@ struct ChainLink {
   std::string var;
   SelectStmtPtr query;
 
-  ChainLink Clone() const;
+  ChainLink Clone(const SlotValues* slots = nullptr) const;
 };
 
 /// A linear combination of aggregate queries. Rule 7 (inclusion–exclusion)
@@ -293,11 +306,11 @@ struct QueryCombination {
     double coeff = 1.0;
     SelectStmtPtr query;
 
-    Term Clone() const;
+    Term Clone(const SlotValues* slots = nullptr) const;
   };
   std::vector<Term> terms;
 
-  QueryCombination Clone() const;
+  QueryCombination Clone(const SlotValues* slots = nullptr) const;
 };
 
 /// Full output of the rewrite pipeline: chained scalar links feeding a
@@ -306,7 +319,7 @@ struct RewrittenQuery {
   std::vector<ChainLink> chain;
   QueryCombination combination;
 
-  RewrittenQuery Clone() const;
+  RewrittenQuery Clone(const SlotValues* slots = nullptr) const;
 };
 
 // Convenience constructors --------------------------------------------------

@@ -74,6 +74,15 @@ Result<int64_t> ParseNegatedInt64Token(const Token& tok) {
   return -static_cast<int64_t>(mag);
 }
 
+double ParseFloatToken(const Token& tok) {
+  return std::strtod(tok.text.c_str(), nullptr);
+}
+
+bool IsLiteralToken(const Token& tok) {
+  return tok.type == TokenType::kInteger || tok.type == TokenType::kFloat ||
+         tok.type == TokenType::kString;
+}
+
 /// Recursive-descent parser over the token stream. `IS [NOT] NULL` is
 /// represented as the special function calls isnull(x) / isnotnull(x);
 /// `BETWEEN a AND b` is desugared to (x >= a AND x <= b) at parse time.
@@ -99,13 +108,25 @@ class Parser {
     return stmt;
   }
 
+  std::vector<SlotConversion> TakeSlots() { return std::move(slots_); }
+
  private:
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
     if (i >= tokens_.size()) i = tokens_.size() - 1;
     return tokens_[i];
   }
-  const Token& Advance() { return tokens_[pos_++]; }
+  const Token& Advance() {
+    const Token& t = tokens_[pos_++];
+    if (IsLiteralToken(t)) slots_.push_back(SlotConversion::kUnused);
+    return t;
+  }
+  /// A literal for the literal token just consumed, tagged with its slot.
+  ExprPtr SlotLiteral(Value v, SlotConversion conversion) {
+    slots_.back() = conversion;
+    return std::make_unique<LiteralExpr>(
+        std::move(v), static_cast<int32_t>(slots_.size() - 1));
+  }
   bool Accept(TokenType type, const char* text) {
     const Token& t = Peek();
     if (t.type == type && t.text == text) {
@@ -496,13 +517,25 @@ class Parser {
       if (Peek().type == TokenType::kInteger) {
         VR_RETURN_NOT_OK(ChargeNodes());
         VR_ASSIGN_OR_RETURN(int64_t v, ParseNegatedInt64Token(Advance()));
-        return MakeLiteral(Value::Int(v));
+        return SlotLiteral(Value::Int(v), SlotConversion::kNegatedInt);
       }
       VR_ASSIGN_OR_RETURN(ExprPtr e, ParseUnaryPrimary());
       // Fold `-<numeric literal>` so negative constants round-trip
-      // through the printer unchanged.
+      // through the printer unchanged. Only `-<float>` keeps its slot: a
+      // folded `-(<int>)` or second negation is a conversion no
+      // SlotConversion names, so its slot is left unused.
       if (e->kind == ExprKind::kLiteral) {
-        const Value& v = static_cast<const LiteralExpr&>(*e).value;
+        const auto& lit = static_cast<const LiteralExpr&>(*e);
+        const Value& v = lit.value;
+        int32_t slot = -1;
+        if (lit.slot >= 0) {
+          if (v.is_double() && slots_[lit.slot] == SlotConversion::kFloat) {
+            slot = lit.slot;
+            slots_[slot] = SlotConversion::kNegatedFloat;
+          } else {
+            slots_[lit.slot] = SlotConversion::kUnused;
+          }
+        }
         if (v.is_int()) {
           if (v.AsInt() == std::numeric_limits<int64_t>::min()) {
             return Status::InvalidArgument(
@@ -512,7 +545,8 @@ class Parser {
           return MakeLiteral(Value::Int(-v.AsInt()));
         }
         if (v.is_double()) {
-          return MakeLiteral(Value::Double(-v.AsDoubleExact()));
+          return ExprPtr(std::make_unique<LiteralExpr>(
+              Value::Double(-v.AsDoubleExact()), slot));
         }
       }
       return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::kNeg, std::move(e)));
@@ -526,14 +560,14 @@ class Parser {
     switch (t.type) {
       case TokenType::kInteger: {
         VR_ASSIGN_OR_RETURN(int64_t v, ParseInt64Token(Advance()));
-        return MakeLiteral(Value::Int(v));
+        return SlotLiteral(Value::Int(v), SlotConversion::kInt);
       }
-      case TokenType::kFloat: {
-        double v = std::strtod(Advance().text.c_str(), nullptr);
-        return MakeLiteral(Value::Double(v));
-      }
+      case TokenType::kFloat:
+        return SlotLiteral(Value::Double(ParseFloatToken(Advance())),
+                           SlotConversion::kFloat);
       case TokenType::kString:
-        return MakeLiteral(Value::String(Advance().text));
+        return SlotLiteral(Value::String(Advance().text),
+                           SlotConversion::kString);
       case TokenType::kKeyword: {
         if (t.text == "NULL") {
           Advance();
@@ -618,12 +652,19 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   LimitTracker tracker_;
+  std::vector<SlotConversion> slots_;  // by slot, for consumed literals
 };
 
 }  // namespace
 
 Result<SelectStmtPtr> ParseSelect(const std::string& sql,
                                   const ResourceLimits& limits) {
+  return ParseSelect(sql, limits, nullptr);
+}
+
+Result<SelectStmtPtr> ParseSelect(const std::string& sql,
+                                  const ResourceLimits& limits,
+                                  std::vector<SlotConversion>* slots) {
   VR_FAULT_POINT(faults::kParse);
   VR_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql, limits));
   Parser parser(std::move(tokens), limits);
@@ -643,11 +684,36 @@ Result<SelectStmtPtr> ParseSelect(const std::string& sql,
         " nodes, exceeding the limit (" +
         std::to_string(limits.max_ast_nodes) + ")");
   }
+  if (slots != nullptr) *slots = parser.TakeSlots();
   return stmt;
 }
 
 Result<SelectStmtPtr> ParseSelect(const std::string& sql) {
   return ParseSelect(sql, ResourceLimits::Defaults());
+}
+
+Result<Value> ConvertSlot(SlotConversion conversion, std::string_view text) {
+  Token tok;
+  tok.text = text;
+  switch (conversion) {
+    case SlotConversion::kInt: {
+      VR_ASSIGN_OR_RETURN(int64_t v, ParseInt64Token(tok));
+      return Value::Int(v);
+    }
+    case SlotConversion::kNegatedInt: {
+      VR_ASSIGN_OR_RETURN(int64_t v, ParseNegatedInt64Token(tok));
+      return Value::Int(v);
+    }
+    case SlotConversion::kFloat:
+      return Value::Double(ParseFloatToken(tok));
+    case SlotConversion::kNegatedFloat:
+      return Value::Double(-ParseFloatToken(tok));
+    case SlotConversion::kString:
+      return Value::String(UnescapeSqlString(text));
+    case SlotConversion::kUnused:
+      break;
+  }
+  return Status::InvalidArgument("literal slot has no conversion");
 }
 
 }  // namespace viewrewrite

@@ -8,13 +8,24 @@ namespace viewrewrite {
 
 namespace {
 
-void PrintExpr(const Expr& e, std::ostream& os);
-void PrintSelect(const SelectStmt& s, std::ostream& os);
+/// The output stream plus the optional literal visitor, threaded through
+/// every print routine.
+struct Out {
+  std::ostream& os;
+  const LiteralVisitor* visit = nullptr;
+};
 
-void PrintExpr(const Expr& e, std::ostream& os) {
+void PrintExpr(const Expr& e, Out& out);
+void PrintSelect(const SelectStmt& s, Out& out);
+
+void PrintExpr(const Expr& e, Out& out) {
+  std::ostream& os = out.os;
   switch (e.kind) {
     case ExprKind::kLiteral: {
       const auto& lit = static_cast<const LiteralExpr&>(e);
+      if (out.visit != nullptr) {
+        (*out.visit)(lit, static_cast<size_t>(os.tellp()));
+      }
       os << lit.value.ToString();
       return;
     }
@@ -29,16 +40,16 @@ void PrintExpr(const Expr& e, std::ostream& os) {
     case ExprKind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(e);
       os << "(";
-      PrintExpr(*b.left, os);
+      PrintExpr(*b.left, out);
       os << " " << BinaryOpName(b.op) << " ";
-      PrintExpr(*b.right, os);
+      PrintExpr(*b.right, out);
       os << ")";
       return;
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
       os << (u.op == UnaryOp::kNot ? "(NOT " : "(-");
-      PrintExpr(*u.operand, os);
+      PrintExpr(*u.operand, out);
       os << ")";
       return;
     }
@@ -48,7 +59,7 @@ void PrintExpr(const Expr& e, std::ostream& os) {
       if (f.distinct) os << "DISTINCT ";
       for (size_t i = 0; i < f.args.size(); ++i) {
         if (i > 0) os << ", ";
-        PrintExpr(*f.args[i], os);
+        PrintExpr(*f.args[i], out);
       }
       os << ")";
       return;
@@ -56,20 +67,20 @@ void PrintExpr(const Expr& e, std::ostream& os) {
     case ExprKind::kScalarSubquery: {
       const auto& sq = static_cast<const ScalarSubqueryExpr&>(e);
       os << "(";
-      PrintSelect(*sq.subquery, os);
+      PrintSelect(*sq.subquery, out);
       os << ")";
       return;
     }
     case ExprKind::kIn: {
       const auto& in = static_cast<const InExpr&>(e);
-      PrintExpr(*in.lhs, os);
+      PrintExpr(*in.lhs, out);
       os << (in.negated ? " NOT IN (" : " IN (");
       if (in.subquery) {
-        PrintSelect(*in.subquery, os);
+        PrintSelect(*in.subquery, out);
       } else {
         for (size_t i = 0; i < in.value_list.size(); ++i) {
           if (i > 0) os << ", ";
-          PrintExpr(*in.value_list[i], os);
+          PrintExpr(*in.value_list[i], out);
         }
       }
       os << ")";
@@ -78,16 +89,16 @@ void PrintExpr(const Expr& e, std::ostream& os) {
     case ExprKind::kExists: {
       const auto& ex = static_cast<const ExistsExpr&>(e);
       os << (ex.negated ? "NOT EXISTS (" : "EXISTS (");
-      PrintSelect(*ex.subquery, os);
+      PrintSelect(*ex.subquery, out);
       os << ")";
       return;
     }
     case ExprKind::kQuantifiedCmp: {
       const auto& q = static_cast<const QuantifiedCmpExpr&>(e);
-      PrintExpr(*q.lhs, os);
+      PrintExpr(*q.lhs, out);
       os << " " << BinaryOpName(q.op) << " "
          << (q.quantifier == Quantifier::kAny ? "ANY (" : "ALL (");
-      PrintSelect(*q.subquery, os);
+      PrintSelect(*q.subquery, out);
       os << ")";
       return;
     }
@@ -99,7 +110,8 @@ void PrintExpr(const Expr& e, std::ostream& os) {
   }
 }
 
-void PrintTableRef(const TableRef& r, std::ostream& os) {
+void PrintTableRef(const TableRef& r, Out& out) {
+  std::ostream& os = out.os;
   switch (r.kind) {
     case TableRefKind::kBase: {
       const auto& b = static_cast<const BaseTableRef&>(r);
@@ -110,13 +122,13 @@ void PrintTableRef(const TableRef& r, std::ostream& os) {
     case TableRefKind::kDerived: {
       const auto& d = static_cast<const DerivedTableRef&>(r);
       os << "(";
-      PrintSelect(*d.subquery, os);
+      PrintSelect(*d.subquery, out);
       os << ") AS " << d.alias;
       return;
     }
     case TableRefKind::kJoin: {
       const auto& j = static_cast<const JoinTableRef&>(r);
-      PrintTableRef(*j.left, os);
+      PrintTableRef(*j.left, out);
       switch (j.join_type) {
         case JoinType::kInner:
           os << " JOIN ";
@@ -128,23 +140,24 @@ void PrintTableRef(const TableRef& r, std::ostream& os) {
           os << " NATURAL JOIN ";
           break;
       }
-      PrintTableRef(*j.right, os);
+      PrintTableRef(*j.right, out);
       if (j.condition) {
         os << " ON ";
-        PrintExpr(*j.condition, os);
+        PrintExpr(*j.condition, out);
       }
       return;
     }
   }
 }
 
-void PrintSelect(const SelectStmt& s, std::ostream& os) {
+void PrintSelect(const SelectStmt& s, Out& out) {
+  std::ostream& os = out.os;
   if (!s.with.empty()) {
     os << "WITH ";
     for (size_t i = 0; i < s.with.size(); ++i) {
       if (i > 0) os << ", ";
       os << s.with[i].name << " AS (";
-      PrintSelect(*s.with[i].query, os);
+      PrintSelect(*s.with[i].query, out);
       os << ")";
     }
     os << " ";
@@ -156,7 +169,7 @@ void PrintSelect(const SelectStmt& s, std::ostream& os) {
     if (s.items[i].is_star) {
       os << "*";
     } else {
-      PrintExpr(*s.items[i].expr, os);
+      PrintExpr(*s.items[i].expr, out);
       if (!s.items[i].alias.empty()) os << " AS " << s.items[i].alias;
     }
   }
@@ -164,29 +177,29 @@ void PrintSelect(const SelectStmt& s, std::ostream& os) {
     os << " FROM ";
     for (size_t i = 0; i < s.from.size(); ++i) {
       if (i > 0) os << ", ";
-      PrintTableRef(*s.from[i], os);
+      PrintTableRef(*s.from[i], out);
     }
   }
   if (s.where) {
     os << " WHERE ";
-    PrintExpr(*s.where, os);
+    PrintExpr(*s.where, out);
   }
   if (!s.group_by.empty()) {
     os << " GROUP BY ";
     for (size_t i = 0; i < s.group_by.size(); ++i) {
       if (i > 0) os << ", ";
-      PrintExpr(*s.group_by[i], os);
+      PrintExpr(*s.group_by[i], out);
     }
   }
   if (s.having) {
     os << " HAVING ";
-    PrintExpr(*s.having, os);
+    PrintExpr(*s.having, out);
   }
   if (!s.order_by.empty()) {
     os << " ORDER BY ";
     for (size_t i = 0; i < s.order_by.size(); ++i) {
       if (i > 0) os << ", ";
-      PrintExpr(*s.order_by[i].expr, os);
+      PrintExpr(*s.order_by[i].expr, out);
       if (s.order_by[i].descending) os << " DESC";
     }
   }
@@ -195,31 +208,11 @@ void PrintSelect(const SelectStmt& s, std::ostream& os) {
   }
 }
 
-}  // namespace
-
-std::string ToSql(const Expr& expr) {
-  std::ostringstream os;
-  PrintExpr(expr, os);
-  return os.str();
-}
-
-std::string ToSql(const TableRef& ref) {
-  std::ostringstream os;
-  PrintTableRef(ref, os);
-  return os.str();
-}
-
-std::string ToSql(const SelectStmt& stmt) {
-  std::ostringstream os;
-  PrintSelect(stmt, os);
-  return os.str();
-}
-
-std::string ToSql(const RewrittenQuery& rq) {
-  std::ostringstream os;
+void PrintRewritten(const RewrittenQuery& rq, Out& out) {
+  std::ostream& os = out.os;
   for (const auto& link : rq.chain) {
     os << link.var << " := (";
-    PrintSelect(*link.query, os);
+    PrintSelect(*link.query, out);
     os << "); ";
   }
   for (size_t i = 0; i < rq.combination.terms.size(); ++i) {
@@ -229,10 +222,42 @@ std::string ToSql(const RewrittenQuery& rq) {
     double mag = t.coeff >= 0 ? t.coeff : -t.coeff;
     if (mag != 1.0) os << mag << " * ";
     os << "(";
-    PrintSelect(*t.query, os);
+    PrintSelect(*t.query, out);
     os << ")";
   }
+}
+
+template <typename Node>
+std::string Render(const Node& node, void (*print)(const Node&, Out&),
+                   const LiteralVisitor* visit = nullptr) {
+  std::ostringstream os;
+  Out out{os, visit};
+  print(node, out);
   return os.str();
+}
+
+}  // namespace
+
+std::string ToSql(const Expr& expr) { return Render(expr, PrintExpr); }
+
+std::string ToSql(const TableRef& ref) { return Render(ref, PrintTableRef); }
+
+std::string ToSql(const SelectStmt& stmt) { return Render(stmt, PrintSelect); }
+
+std::string ToSql(const RewrittenQuery& rq) {
+  return Render(rq, PrintRewritten);
+}
+
+std::string ToSql(const Expr& expr, const LiteralVisitor& visit) {
+  return Render(expr, PrintExpr, &visit);
+}
+
+std::string ToSql(const TableRef& ref, const LiteralVisitor& visit) {
+  return Render(ref, PrintTableRef, &visit);
+}
+
+std::string ToSql(const RewrittenQuery& rq, const LiteralVisitor& visit) {
+  return Render(rq, PrintRewritten, &visit);
 }
 
 }  // namespace viewrewrite

@@ -1,6 +1,8 @@
 #ifndef VIEWREWRITE_SQL_PRINTER_H_
 #define VIEWREWRITE_SQL_PRINTER_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 
 #include "sql/ast.h"
@@ -20,6 +22,16 @@ std::string ToSql(const SelectStmt& stmt);
 /// Renders a full rewritten query: chain links as `name := (...)` prefixes
 /// followed by the signed combination of queries.
 std::string ToSql(const RewrittenQuery& rq);
+
+/// Called for each literal as it is rendered, with the byte offset of its
+/// text in the output.
+using LiteralVisitor =
+    std::function<void(const LiteralExpr& literal, size_t offset)>;
+
+/// The renderings above, reporting every literal to `visit`.
+std::string ToSql(const Expr& expr, const LiteralVisitor& visit);
+std::string ToSql(const TableRef& ref, const LiteralVisitor& visit);
+std::string ToSql(const RewrittenQuery& rq, const LiteralVisitor& visit);
 
 }  // namespace viewrewrite
 

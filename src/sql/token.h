@@ -2,6 +2,7 @@
 #define VIEWREWRITE_SQL_TOKEN_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/limits.h"
@@ -40,6 +41,34 @@ struct Token {
 Result<std::vector<Token>> Tokenize(
     const std::string& sql,
     const ResourceLimits& limits = ResourceLimits::Defaults());
+
+/// Source span of one integer, float or string literal token. For a
+/// string the span is the text between the quotes, '' escapes intact.
+struct LiteralSpan {
+  TokenType type = TokenType::kInteger;
+  size_t begin = 0;
+  size_t size = 0;
+};
+
+/// A statement's lexical skeleton: the token stream as Tokenize
+/// normalises it, with every literal token replaced by a marker of its
+/// type, plus the literals' spans in source order (span i is slot i).
+/// Two texts with equal keys tokenize identically except for their
+/// literal values, so they have the same token count and parse to trees
+/// of the same shape.
+struct SqlSkeleton {
+  std::string key;
+  std::vector<LiteralSpan> literals;
+};
+
+/// Scans `sql` with Tokenize's scanner and limits, failing exactly where
+/// Tokenize fails, without building a token vector.
+Result<SqlSkeleton> LiteralSkeleton(
+    const std::string& sql,
+    const ResourceLimits& limits = ResourceLimits::Defaults());
+
+/// The value of a string literal from its span text: '' becomes '.
+std::string UnescapeSqlString(std::string_view quoted_body);
 
 /// True if `word` (upper-cased) is a recognized SQL keyword.
 bool IsSqlKeyword(const std::string& upper_word);

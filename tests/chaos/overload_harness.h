@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -229,25 +230,47 @@ inline OverloadRunResult RunOverloadSeed(uint64_t seed,
 
   uint64_t issued_total = 0;
 
-  // ---- Closed-loop calibration: one request at a time, full pipeline. ------
-  // This is by construction at capacity for one worker: the next request
-  // is only offered when the previous one finished.
+  // ---- Closed-loop calibration: one client per worker, full pipeline. -----
+  // Each client offers its next request only when the previous one
+  // finished, so with as many clients as workers every worker stays busy
+  // and the rate is the server's capacity. A single client measured one
+  // worker's round trip instead: the phases then offered about 1x, 2x and
+  // 5x of the real capacity, and a calibration that caught a slow moment
+  // let the first phase's goodput fall under the collapse floor of a later
+  // phase that reached the real capacity.
   uint64_t calib_done = 0;
   {
     const Clock::time_point until = Clock::now() + config.calibration;
-    while (Clock::now() < until) {
-      const size_t qi = calib_done % workload.size();
-      Result<ServedAnswer> got = server.Submit(workload[qi]).get();
-      ++issued_total;
-      if (!got.ok()) {
-        violate("calibration request failed: " + got.status().ToString());
-        return result;
-      }
-      if (got->value != baseline[qi]) {
-        violate("calibration answer diverged from baseline");
-        return result;
-      }
-      ++calib_done;
+    std::mutex calib_mu;
+    std::string calib_error;  // guarded by calib_mu
+    uint64_t calib_issued = 0;  // guarded by calib_mu
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < config.num_threads; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t k = c; Clock::now() < until; k += config.num_threads) {
+          const size_t qi = k % workload.size();
+          Result<ServedAnswer> got = server.Submit(workload[qi]).get();
+          std::lock_guard<std::mutex> lock(calib_mu);
+          ++calib_issued;
+          if (!calib_error.empty()) return;
+          if (!got.ok()) {
+            calib_error =
+                "calibration request failed: " + got.status().ToString();
+            return;
+          }
+          if (got->value != baseline[qi]) {
+            calib_error = "calibration answer diverged from baseline";
+            return;
+          }
+          ++calib_done;
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    issued_total += calib_issued;
+    if (!calib_error.empty()) {
+      violate(calib_error);
+      return result;
     }
   }
   result.capacity_qps =

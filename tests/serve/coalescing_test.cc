@@ -153,7 +153,10 @@ TEST_F(CoalescingTest, CanonicalVariantsMergeIntoOneComputation) {
       "select COUNT(*) FROM orders o WHERE ((o.o_totalprice >= 64))";
 
   auto a = server.Submit(variant_a);
-  ASSERT_TRUE(SpinUntil([&] { return server.stats().flights >= 1; }));
+  // Wait until the leader is parked in backoff, hence past registering
+  // its canonical key; waiting only for its flight to start let the
+  // second variant register the canonical key first and lead instead.
+  ASSERT_TRUE(SpinUntil([&] { return server.stats().retries >= 1; }));
   auto b = server.Submit(variant_b);
   ASSERT_TRUE(SpinUntil([&] { return server.stats().merged_flights >= 1; }))
       << "canonical-equal flight did not merge";
